@@ -16,6 +16,7 @@ _DEFAULT_LIMIT = 1024 * 2**20
 _limit: int | None = None
 _spent = 0
 _memos: list["Memo"] = []
+_resets: list = []
 
 
 def cache_limit() -> int:
@@ -26,14 +27,24 @@ def cache_limit() -> int:
 
 
 def reset_caches(limit: int | None = None) -> None:
-    """Clear all memo tables.  With `limit` given, pin the byte cap;
-    otherwise it is re-read from the environment on next use."""
+    """Clear all memo tables and everything registered with `on_reset`.
+    With `limit` given, pin the byte cap; otherwise it is re-read from
+    the environment on next use."""
     global _limit, _spent
     for m in _memos:
         m._d.clear()
         m._spent = 0
+    for fn in _resets:
+        fn()
     _spent = 0
     _limit = limit
+
+
+def on_reset(fn):
+    """Register fn to be called by reset_caches: for state that is not
+    under the byte cap but is dropped with the memos."""
+    _resets.append(fn)
+    return fn
 
 
 class Memo:

@@ -176,8 +176,8 @@ def charts_containing(p: PointHat) -> list:
         vertex_owners.append(e.base)
     seen = set()
     for v in vertex_owners:
-        if v.word not in seen:
-            seen.add(v.word)
+        if v not in seen:
+            seen.add(v)
             charts.append(vertex_chart(v))
     return charts
 

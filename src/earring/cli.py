@@ -258,17 +258,18 @@ def main(argv: Optional[list] = None) -> int:
         return 1 if exc.code else 0
     try:
         return run(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        message = str(exc) if isinstance(exc, ValueError) else "out of memory"
         if args.json:
             print(json.dumps({
                 "command": args.command,
                 "input": None,
                 "output": {},
                 "status": "error",
-                "message": str(exc),
+                "message": message,
             }, sort_keys=True))
         else:
-            print(f"{args.command}: error: {exc}", file=sys.stderr)
+            print(f"{args.command}: error: {message}", file=sys.stderr)
         return 1
 
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .caching import Memo
+from .caching import Memo, on_reset
 from .words import (
     Word,
-    anchor,
     anchor_length,
     invert,
     is_reduced,
@@ -48,20 +48,44 @@ def ray_agreement(w: Word) -> int:
 
 
 # --- island data -----------------------------------------------------------
+# An edge-path vertex z of island j is held as a record (len, ray_len, tail):
+# z = R[:ray_len] + tail, with R the zig-zag ray and tail empty or starting
+# off the ray.  The path walks |w_j| letters from the anchor, so ray_len is
+# within |w_j| of anchor_length(j) and every tail has at most |w_j| letters.
 
 @dataclass(frozen=True)
 class IslandData:
     """Everything attached to enumeration index j: the word, its anchor,
-    the level n_j, and the anchored edge-path vertices."""
+    the level n_j, and the anchored edge-path vertices.  The vertices are
+    kept as records; `anchor`, `z_path`, `z_set` and `z_info` spell them
+    out when asked for."""
 
     j: int
     word: Word
-    anchor: Word
     level: int                      # n_j = max(2, max index in word)
-    z_path: tuple                   # |word|+1 reduced words, with repeats
-    z_set: frozenset                # deduplicated
-    # per-z fast-equality records: (word, len, ray_agreement, tail)
-    z_info: tuple = field(repr=False)
+    anchor_len: int
+    path: tuple = field(repr=False)     # |word|+1 records, with repeats
+    records: tuple = field(repr=False)  # deduplicated, in word order
+    max_len: int = field(repr=False)    # longest edge-path vertex
+
+    @cached_property
+    def anchor(self) -> Word:
+        return zigzag_prefix(self.anchor_len)
+
+    @cached_property
+    def z_info(self) -> tuple:
+        """Per edge-path vertex, in word order: (word, len, ray agreement,
+        tail).  Line hits share these word tuples."""
+        return tuple((zigzag_prefix(p) + tail, n, p, tail) for n, p, tail in self.records)
+
+    @cached_property
+    def z_path(self) -> tuple:
+        spelled = {rec: info[0] for rec, info in zip(self.records, self.z_info)}
+        return tuple(spelled[rec] for rec in self.path)
+
+    @cached_property
+    def z_set(self) -> frozenset:
+        return frozenset(info[0] for info in self.z_info)
 
 
 _island_memo = Memo()
@@ -74,19 +98,31 @@ def island_data(j: int) -> IslandData:
     if cached is not None:
         return cached
     wj = nth_word(j)
-    anc = anchor(j)
     level = max(2, max(abs(x) for x in wj))
-    path = [anc]
-    cur = anc
+    n = p = anchor_length(j)
+    tail: Word = ()
+    path = [(n, p, tail)]
     for x in wj:
-        cur = reduce_word(cur + (x,))
-        path.append(cur)
-    z_path = tuple(path)
-    z_set = frozenset(z_path)
-    z_info = tuple(
-        (z, len(z), ray_agreement(z), z[ray_agreement(z):]) for z in sorted(z_set)
-    )
-    data = IslandData(j, wj, anc, level, z_path, z_set, z_info)
+        # free cancellation of z . x, with z = R[:p] + tail
+        if tail:
+            tail = tail[:-1] if tail[-1] == -x else tail + (x,)
+        elif n and _ray_letter(n - 1) == -x:
+            p -= 1
+        elif x == _ray_letter(n):
+            p += 1
+        else:
+            tail = (x,)
+        n = p + len(tail)
+        path.append((n, p, tail))
+    # every record starts with R[:base], so the rest orders them as words
+    base = min(rec[1] for rec in path)
+
+    def rest(rec):
+        return tuple(map(_ray_letter, range(base, rec[1]))) + rec[2]
+
+    records = tuple(sorted(set(path), key=rest))
+    data = IslandData(j, wj, level, path[0][0], tuple(path), records,
+                      max(rec[0] for rec in records))
     _island_memo.put(j, data)
     return data
 
@@ -127,6 +163,19 @@ class IslandHit(NamedTuple):
     r: Optional[int] = None   # signed offset along the line
 
 
+# The island rule returns a compact hit (j, kind, s, k, r), with k the
+# index of u among the island's records: spelling u out costs |u|, and a
+# lift along the ray meets a line of every island it passes.
+
+def _certificate(found: Optional[tuple]) -> Optional[IslandHit]:
+    if found is None:
+        return None
+    j, kind, s, k, r = found
+    if kind == "Z":
+        return IslandHit(j, "Z")
+    return IslandHit(j, "L", s, island_data(j).z_info[k][0], r)
+
+
 def _suffix_run(w: Word) -> int:
     """Length of the maximal constant-letter suffix run of w."""
     if not w:
@@ -139,49 +188,74 @@ def _suffix_run(w: Word) -> int:
     return r
 
 
-def _line_offset_fast(v, pv, suffix_run, u, ulen, up, utail, s):
-    """The r with v = reduce(u · a_s^r), using precomputed ray data,
-    or None.  r = 0 (v == u) is reported as 0."""
-    # longest common prefix of u and v
-    c = min(up, pv)
-    nv = len(v)
-    while c < ulen and c < nv and u[c] == v[c]:
-        c += 1
-    tu_len = ulen - c
-    tv_len = nv - c
-    if tu_len == 0 and tv_len == 0:
-        return 0
-    letter = None
-    if tu_len:
-        x = u[c]
-        for p in range(c + 1, ulen):
-            if u[p] != x:
-                return None
-        letter = -x
-    if tv_len:
-        if tv_len > suffix_run:
-            return None
-        y = v[-1]
-        if letter is not None and letter != y:
-            return None
-        letter = y
-    if abs(letter) != s:
+def _match_island(data: IslandData, n: int, p: int, run: int, last: int,
+                  mid: Word) -> Optional[tuple]:
+    """Island membership of v in island j = data.j, where v has length n,
+    ray agreement p, and ends in a run of `run` letters `last`, and mid is
+    v[p:n-run].  Only letters of v from min(p, z's ray agreement) onward
+    are compared: before that both words follow the ray."""
+    split = n - run
+    for zlen, zp, ztail in data.records:
+        if n == zlen and p == zp and mid + (last,) * (n - p - len(mid)) == ztail:
+            return (data.j, "Z", None, None, None)
+    for k, (zlen, zp, ztail) in enumerate(data.records):
+        # v = reduce(z . a_s^r) iff past their longest common prefix z is a
+        # run of some x and v a run of -x, within v's final run
+        c = min(p, zp)
+        if p == zp:
+            while c < zlen and c < n and (last if c >= split else mid[c - p]) == ztail[c - p]:
+                c += 1
+        # otherwise the word with the shorter ray agreement leaves the ray
+        # (or ends) at c, where the other still follows it
+        if n - c > run:
+            continue
+        letter = None
+        if c < zlen:
+            x = ztail[c - zp] if c >= zp else _ray_letter(c)
+            if any((ztail[q - zp] if q >= zp else _ray_letter(q)) != x
+                   for q in range(c + 1, zlen)):
+                continue
+            letter = -x
+        if c < n:
+            if letter is not None and letter != last:
+                continue
+            letter = last
+        if letter is None or abs(letter) > data.level:
+            continue
+        r = (zlen - c) + (n - c)
+        return (data.j, "L", abs(letter), k, r if letter > 0 else -r)
+    return None
+
+
+def _locate(n: int, p: int, run: int, last: int, middle) -> Optional[tuple]:
+    """Compact island hit of the reduced word v of length n with ray
+    agreement p, whose final constant-letter run has `run` letters
+    `last`; middle() gives v[p:n-run].  The word rule behind `classify`
+    and the trie rule behind `Vertex` both come here."""
+    if n == 0:
         return None
-    count = tu_len + tv_len
-    return count if letter > 0 else -count
-
-
-def _check_island(v: Word, pv: int, suffix_run: int, j: int) -> Optional[IslandHit]:
-    data = island_data(j)
-    nv = len(v)
-    for z, zlen, zp, ztail in data.z_info:
-        if nv == zlen and pv == zp and v[zp:] == ztail:
-            return IslandHit(j, "Z")
-    for z, zlen, zp, ztail in data.z_info:
-        for s in range(1, data.level + 1):
-            r = _line_offset_fast(v, pv, suffix_run, z, zlen, zp, ztail, s)
-            if r:
-                return IslandHit(j, "L", s, z, r)
+    _extend_index(n)
+    jmax = bisect_right(_bounds, n)
+    if jmax == 0:
+        return None
+    wm = _max_wlen[jmax]
+    lo = bisect_left(_anchor_lens, p - wm - 1, 0, jmax)
+    hi = bisect_right(_anchor_lens, p + wm + 1, 0, jmax)
+    mid = None
+    for j in range(lo + 1, hi + 1):
+        if abs(_anchor_lens[j - 1] - p) > len(nth_word(j)) + 1:
+            continue
+        data = island_data(j)
+        # every island vertex is z or reduce(z . a_s^r) with the power
+        # inside v's final run, so v[:n-run] fits inside some z; with p
+        # near the anchor length this bounds |mid| by 2|w_j| + 1
+        if n - run > data.max_len:
+            continue
+        if mid is None:
+            mid = middle()
+        hit = _match_island(data, n, p, run, last, mid)
+        if hit is not None:
+            return hit
     return None
 
 
@@ -196,22 +270,10 @@ def classify(v: Word, ray_len: Optional[int] = None) -> Optional[IslandHit]:
     cached = _classify_memo.get(v)
     if cached is not None:
         return None if cached is _NO_HIT else cached
-    nv = len(v)
-    _extend_index(nv)
-    jmax = bisect_right(_bounds, nv)
-    hit = None
-    if jmax > 0:
-        pv = ray_len if ray_len is not None else ray_agreement(v)
-        wm = _max_wlen[jmax]
-        lo = bisect_left(_anchor_lens, pv - wm - 1, 0, jmax)
-        hi = bisect_right(_anchor_lens, pv + wm + 1, 0, jmax)
-        run = _suffix_run(v)
-        for j in range(lo + 1, hi + 1):
-            if abs(_anchor_lens[j - 1] - pv) > len(nth_word(j)) + 1:
-                continue
-            hit = _check_island(v, pv, run, j)
-            if hit is not None:
-                break
+    n = len(v)
+    p = ray_len if ray_len is not None else ray_agreement(v)
+    run = _suffix_run(v)
+    hit = _certificate(_locate(n, p, run, v[-1], lambda: v[p:n - run]))
     _classify_memo.put(v, hit if hit is not None else _NO_HIT)
     return hit
 
@@ -245,33 +307,48 @@ def in_line(v: Word, u: Word, s: int) -> Optional[int]:
     return None
 
 
-# --- survival under the pruning --------------------------------------------
+# --- tree labels and survival ----------------------------------------------
+
+_label_sets: dict = {}
+
+
+def _labels(hit: Optional[tuple]) -> frozenset:
+    """Labels of the tree edges at a surviving vertex with island hit
+    (j, kind, s, ...), an IslandHit or a compact one: {1,2} off-island,
+    {1..n_j} on the anchored edge-path, {1,2,s} strictly on a line.  One
+    shared set per distinct value."""
+    if hit is None:
+        key = (1, 2)
+    elif hit[1] == "Z":
+        key = tuple(range(1, island_data(hit[0]).level + 1))
+    else:
+        key = (1, 2, hit[2])
+    labels = _label_sets.get(key)
+    if labels is None:
+        labels = _label_sets[key] = frozenset(key)
+    return labels
+
 
 _survives_memo = Memo()
 
 
-def _killed_at_last(v: Word, pv: int) -> bool:
-    """Given that every proper prefix of v survives, decide whether the
-    final letter triggers a removal.
+def _descend(v: Word) -> Optional["Vertex"]:
+    """The trie vertex of the reduced word v, or None if v is pruned.
 
     The removed vertices of an island are reduce(z . a_s^{+-r} . a_k . g)
     with z on the anchored edge-path; the power may cancel into z, but its
     reduction u = reduce(z . a_s^{+-r}) ends in a letter of index 1, 2 or
     s, so the step a_k (k outside {1,2,s}) never cancels and u . a_k is a
-    literal prefix of v.  The subtree behind that prefix is then killed by
-    the prefix walk in `survives`.  Hence it suffices to test the final
-    letter against the parent prefix's classification: off every island a
-    letter of index >= 3 is fatal; on the anchored edge-path an index
-    above the island level is fatal; strictly on a line only the labels
-    {1, 2, s} are allowed."""
-    k = abs(v[-1])
-    u = v[:len(v) - 1]
-    cu = classify(u, min(pv, len(u)))
-    if cu is None:
-        return k >= 3
-    if cu.kind == "Z":
-        return k > island_data(cu.j).level
-    return k not in (1, 2, cu.s)
+    literal prefix of v.  Hence v survives exactly when each of its letters
+    is a tree label at the prefix before it, which is the rule
+    `Vertex.step` applies."""
+    node = _root
+    for x in v:
+        if abs(x) not in node.e_set:
+            return None
+        kids = node._children
+        node = kids and kids.get(x) or node._child(x)
+    return node
 
 
 def survives(v: Word) -> bool:
@@ -280,135 +357,147 @@ def survives(v: Word) -> bool:
         raise ValueError("survives expects a reduced word")
     v = tuple(v)
     cached = _survives_memo.get(v)
-    if cached is not None:
-        return cached
-    pv = ray_agreement(v)
-    alive = True
-    for t in range(1, len(v) + 1):
-        pre = v[:t]
-        c = _survives_memo.get(pre)
-        if c is None:
-            c = alive and not _killed_at_last(pre, min(pv, t))
-            _survives_memo.put(pre, c)
-        alive = c
-        if not alive:
-            break
-    _survives_memo.put(v, alive)
-    return alive
+    if cached is None:
+        cached = _descend(v) is not None
+        _survives_memo.put(v, cached)
+    return cached
 
 
 def e_set(v) -> frozenset:
     """Labels of the tree edges at a surviving vertex: {1,2} off-island,
     {1..n_j} on the anchored edge-path, {1,2,s} strictly on a line."""
-    word = v.word if isinstance(v, Vertex) else tuple(v)
     if isinstance(v, Vertex):
-        hit = v.hit
-    else:
-        if not survives(word):
-            raise ValueError("e_set is defined only for surviving vertices")
-        hit = classify(word)
-    if hit is None:
-        return frozenset((1, 2))
-    if hit.kind == "Z":
-        return frozenset(range(1, island_data(hit.j).level + 1))
-    return frozenset((1, 2, hit.s))
+        return v.e_set
+    word = tuple(v)
+    if not survives(word):
+        raise ValueError("e_set is defined only for surviving vertices")
+    return _labels(classify(word))
 
 
-# --- certified vertices ----------------------------------------------------
+# --- trie vertices -----------------------------------------------------------
 
 _vertex_memo = Memo()
 
 
+def _letters(node: "Vertex", stop: int) -> Word:
+    """node.word[stop:], read by walking up from node."""
+    out = []
+    while node.depth > stop:
+        out.append(node.letter)
+        node = node.parent
+    out.reverse()
+    return tuple(out)
+
+
 class Vertex:
-    """A reduced word certified to survive the pruning.  Carries its ray
-    agreement and island classification so that neighbor steps are cheap."""
+    """A surviving vertex: a node of the trie of visited vertices, rooted
+    at the base point.  Each node derives its depth, ray agreement, final
+    constant-letter run and island classification from its parent and its
+    letter, so a step costs O(1) along the ray and never copies the word;
+    `word` is spelled out only when asked for."""
 
-    __slots__ = ("word", "ray_len", "hit", "_eset", "_steps", "_hash")
+    __slots__ = ("parent", "letter", "depth", "ray_len", "run", "run_start",
+                 "_hit", "e_set", "_children")
 
-    def __init__(self, word: Word, ray_len: int, hit, _certified: bool):
-        self.word = word
-        self.ray_len = ray_len
-        self.hit = hit
-        self._eset = None
-        self._steps: dict = {}
-        self._hash = hash(word)
+    def __init__(self, parent: Optional["Vertex"] = None, letter: int = 0):
+        self.parent = parent
+        self.letter = letter
+        self._children = None
+        if parent is None:
+            self.depth = self.ray_len = self.run = 0
+            self.run_start = None
+            self._hit = None
+        else:
+            n = parent.depth
+            p = parent.ray_len
+            self.depth = n + 1
+            self.ray_len = p = p + 1 if p == n and letter == _ray_letter(n) else p
+            if letter == parent.letter:
+                self.run = parent.run + 1
+                self.run_start = start = parent.run_start
+            else:
+                self.run = 1
+                self.run_start = start = parent
+            self._hit = _locate(n + 1, p, self.run, letter, lambda: _letters(start, p))
+        self.e_set = _labels(self._hit)
+
+    @property
+    def word(self) -> Word:
+        return zigzag_prefix(self.ray_len) + _letters(self, self.ray_len)
+
+    @property
+    def hit(self) -> Optional[IslandHit]:
+        """Island membership certificate, as `classify` gives it."""
+        return _certificate(self._hit)
 
     @staticmethod
     def make(word: Word) -> "Vertex":
-        """Certify and intern a vertex from a reduced word."""
+        """The vertex of a reduced word that survives the pruning."""
         word = tuple(word)
         v = _vertex_memo.get(word)
         if v is not None:
             return v
         if not is_reduced(word):
             raise ValueError("a vertex must be a reduced word")
-        if not survives(word):
+        v = _descend(word)
+        if v is None:
             raise ValueError("word does not survive the pruning")
-        p = ray_agreement(word)
-        v = Vertex(word, p, classify(word, p), True)
         _vertex_memo.put(word, v)
         return v
 
-    @staticmethod
-    def _certified(word: Word, ray_len: int) -> "Vertex":
-        v = _vertex_memo.get(word)
-        if v is not None:
-            return v
-        v = Vertex(word, ray_len, classify(word, ray_len), True)
-        _vertex_memo.put(word, v)
-        return v
-
-    @property
-    def e_set(self) -> frozenset:
-        es = self._eset
-        if es is None:
-            hit = self.hit
-            if hit is None:
-                es = frozenset((1, 2))
-            elif hit.kind == "Z":
-                es = frozenset(range(1, island_data(hit.j).level + 1))
-            else:
-                es = frozenset((1, 2, hit.s))
-            self._eset = es
-        return es
+    def _child(self, letter: int) -> "Vertex":
+        kids = self._children
+        if kids is None:
+            kids = self._children = {}
+        node = kids.get(letter)
+        if node is None:
+            node = kids[letter] = Vertex(self, letter)
+        return node
 
     def step(self, letter: int):
         """One edge traversal: ('tree', neighbor) if the label is a tree
         label here, else ('loop', self)."""
-        cached = self._steps.get(letter)
-        if cached is not None:
-            return cached
-        if abs(letter) in self.e_set:
-            w = self.word
-            if w and w[-1] == -letter:
-                nw = w[:-1]
-                nb = Vertex._certified(nw, min(self.ray_len, len(nw)))
-            else:
-                nw = w + (letter,)
-                if self.ray_len == len(w) and letter == _ray_letter(len(w)):
-                    nb = Vertex._certified(nw, self.ray_len + 1)
-                else:
-                    nb = Vertex._certified(nw, self.ray_len)
-            result = ("tree", nb)
-        else:
-            result = ("loop", self)
-        self._steps[letter] = result
-        return result
+        if abs(letter) not in self.e_set:
+            return ("loop", self)
+        if letter == -self.letter:
+            return ("tree", self.parent)
+        return ("tree", self._child(letter))
 
     def __eq__(self, other):
-        return isinstance(other, Vertex) and self.word == other.word
+        if self is other:
+            return True
+        if not isinstance(other, Vertex):
+            return False
+        if self.depth != other.depth or self.ray_len != other.ray_len:
+            return False
+        # walk up in step until the paths meet; a node of a trie dropped
+        # by reset_caches meets the current ones at the root
+        a, b = self, other
+        while a is not b:
+            if a.letter != b.letter:
+                return False
+            a, b = a.parent, b.parent
+        return True
 
     def __hash__(self):
-        return self._hash
+        return hash((self.depth, self.ray_len, self.letter, self.run))
 
     def __repr__(self):
         from .words import format_word
         return f"Vertex({format_word(self.word)})"
 
 
+_root = Vertex()
+
+
+@on_reset
+def _drop_trie() -> None:
+    _root._children = None
+
+
 def base_vertex() -> Vertex:
     """The base point: the empty word."""
-    return Vertex.make(())
+    return _root
 
 
 def neighbor(v: Vertex, letter: int):

@@ -3,7 +3,8 @@ subgroup K of loops whose lift returns to the base point.
 
 Each letter of a word is traversed as a tree edge when its label belongs
 to the current vertex's tree-label set, and as a loop otherwise; the
-lift is the deterministic fold of that step rule.
+lift is the deterministic fold of that step rule.  A step neither copies
+nor hashes the vertex word, so a lift is linear in the word's length.
 """
 
 from __future__ import annotations

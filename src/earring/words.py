@@ -15,6 +15,7 @@ graft each enumerated word onto the zig-zag ray.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator, Optional
 
 Letter = int
@@ -22,9 +23,10 @@ Word = tuple  # tuple[int, ...]
 
 
 def check_word(w: Word) -> Word:
-    """Validate letters (nonzero ints); return w unchanged."""
+    """Validate letters (nonzero ints, not bools); return w unchanged."""
     for x in w:
-        if not isinstance(x, int) or x == 0:
+        # bool is an int subclass; the type test keeps plain ints fast
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)) or x == 0:
             raise ValueError(f"invalid letter {x!r}: letters are nonzero ints")
     return tuple(w)
 
@@ -41,7 +43,8 @@ def reduce_word(w: Word) -> Word:
 
 
 def is_reduced(w: Word) -> bool:
-    return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
+    # pairs (w[i+1], -w[i]), compared at C speed
+    return all(map(operator.ne, w[1:], map(operator.neg, w)))
 
 
 def concat(u: Word, v: Word) -> Word:

@@ -134,6 +134,26 @@ class TestWitness:
         assert code == 1
         assert "error" in out + err
 
+    @pytest.mark.parametrize("json_flag", [True, False])
+    def test_memory_error_is_an_error_exit(self, capsys, monkeypatch, json_flag):
+        from earring import corefree
+
+        def exhausted(w):
+            raise MemoryError()
+
+        monkeypatch.setattr(corefree, "witness_conjugator", exhausted)
+        argv = ["--json"] if json_flag else []
+        code, out, err = run_cli(capsys, *argv, "witness", "3")
+        assert code == 1
+        assert "Traceback" not in out + err
+        if json_flag:
+            obj = json.loads(out)
+            assert obj["status"] == "error"
+            assert obj["command"] == "witness"
+            assert obj["message"] == "out of memory"
+        else:
+            assert err == "witness: error: out of memory\n"
+
     def test_trace_included_in_json(self, capsys):
         code, obj = run_json(capsys, "witness", "--trace", "3")
         assert code == 0

@@ -1,0 +1,149 @@
+"""Trie vertices against the word-level oracles, over exhaustive bounded
+domains, and the memory a long lift takes."""
+
+import tracemalloc
+
+import pytest
+
+from earring.caching import reset_caches
+from earring.corefree import witness_conjugator
+from earring.graph import (
+    Vertex,
+    base_vertex,
+    classify,
+    e_set,
+    island_data,
+    ray_agreement,
+    survives,
+)
+from earring.words import anchor, index_of, invert, nth_word, reduce_word
+
+
+def _check_vertex(v, w):
+    """Everything a trie vertex carries, against the oracles on its word;
+    returns the word-level e_set."""
+    assert v.word == w
+    assert v.ray_len == ray_agreement(w)
+    assert v.hit == classify(w)
+    assert survives(w)
+    labels = e_set(w)
+    assert v.e_set == labels
+    assert Vertex.make(w) == v
+    return labels
+
+
+def _check_steps(v, w, top):
+    """Every step kind at v for the labels a_1 .. a_top, against survival
+    of both neighbours: a label is a tree label when both survive."""
+    for i in range(1, top + 1):
+        fwd, bwd = reduce_word(w + (i,)), reduce_word(w + (-i,))
+        tree = survives(fwd) and survives(bwd)
+        for letter, nb in ((i, fwd), (-i, bwd)):
+            kind, u = v.step(letter)
+            assert kind == ("tree" if tree else "loop")
+            assert u.word == (nb if tree else w)
+
+
+def _lift_domain():
+    """Every vertex of the lifts of beta . w . beta^-1, essential j <= 60,
+    checked against a lift kept as a tuple with the word-level e_set."""
+    count = 0
+    for j in range(1, 61):
+        word = nth_word(j)
+        if not reduce_word(word):
+            continue
+        beta = anchor(j)
+        v, w = base_vertex(), ()
+        labels = e_set(w)
+        for letter in beta + word + invert(beta):
+            kind, v = v.step(letter)
+            if abs(letter) in labels:
+                assert kind == "tree"
+                w = w[:-1] if w and w[-1] == -letter else w + (letter,)
+            else:
+                assert kind == "loop"
+            labels = _check_vertex(v, w)
+            count += 1
+    return count
+
+
+def _ball(center, radius, top):
+    """The surviving vertices within `radius` tree steps of center, over
+    the letters a_1^{+-1} .. a_top^{+-1}, found by walking the trie."""
+    start = Vertex.make(center)
+    seen = {center: start}
+    frontier = [start]
+    for _ in range(radius):
+        nxt = []
+        for v in frontier:
+            for i in range(1, top + 1):
+                for letter in (i, -i):
+                    kind, u = v.step(letter)
+                    if kind == "tree" and u.word not in seen:
+                        seen[u.word] = u
+                        nxt.append(u)
+        frontier = nxt
+    return seen
+
+
+def _ball_domains():
+    count = 0
+    for w, v in _ball((), 5, 4).items():
+        _check_vertex(v, w)
+        _check_steps(v, w, 4)
+        count += 1
+    for j in range(1, 21):
+        data = island_data(j)
+        for z in sorted(data.z_set):
+            for w, v in _ball(z, 3, data.level + 1).items():
+                _check_vertex(v, w)
+                _check_steps(v, w, data.level + 1)
+                count += 1
+    return count
+
+
+@pytest.fixture
+def cache_off():
+    reset_caches(limit=0)
+    try:
+        yield
+    finally:
+        reset_caches()
+
+
+class TestTrieAgainstWords:
+    def test_lifts(self):
+        assert _lift_domain() > 10_000
+
+    def test_balls(self):
+        assert _ball_domains() > 1_000
+
+    def test_lifts_cache_off(self, cache_off):
+        assert _lift_domain() > 10_000
+
+    def test_balls_cache_off(self, cache_off):
+        assert _ball_domains() > 1_000
+
+    def test_old_vertices_survive_a_reset(self):
+        v = Vertex.make(reduce_word(anchor(9) + (3, 3)))
+        reset_caches()
+        assert Vertex.make(v.word) == v
+        assert v.step(-3)[1] == Vertex.make(anchor(9) + (3,))
+        assert base_vertex() == Vertex.make(())
+
+
+class TestMemoryScaling:
+    def test_long_witness_lift_is_linear_in_memory(self):
+        # |gamma| = 19,132; the quadratic lift needed about 1.5 GB here
+        w = nth_word(1000)
+        assert index_of(w) == 1000
+        reset_caches()
+        tracemalloc.start()
+        try:
+            cert = witness_conjugator(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cert.trace.steps) == 19_132
+        assert cert.verdict is True
+        assert peak <= 60 * 2**20

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from earring.words import (
     anchor,
     anchor_length,
+    check_word,
     concat,
     format_word,
     index_of,
@@ -59,6 +60,10 @@ class TestReduce:
     @given(word_st)
     def test_result_is_reduced(self, w):
         assert is_reduced(reduce_word(w))
+
+    @given(word_st)
+    def test_is_reduced_matches_naive_oracle(self, w):
+        assert is_reduced(w) == (naive_reduce(w) == w)
 
 
 class TestConcatInvert:
@@ -152,3 +157,13 @@ class TestTextFormat:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             parse_word("a b")
+
+
+class TestCheckWord:
+    def test_valid_letters_pass(self):
+        assert check_word([1, -2, 3]) == (1, -2, 3)
+
+    @pytest.mark.parametrize("bad", [(0,), (True,), (1, False), (1.0,), ("1",)])
+    def test_invalid_letters_rejected(self, bad):
+        with pytest.raises(ValueError):
+            check_word(bad)
