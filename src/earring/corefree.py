@@ -10,7 +10,8 @@ from typing import Optional
 
 from .graph import Vertex, base_vertex, island_data
 from .lifting import LiftTrace, in_k, lift_word
-from .words import Word, anchor, check_word, format_word, index_of, invert, nth_word, reduce_word, weight
+from .words import (Word, anchor, anchor_length, check_word, format_word, index_of, invert,
+                    nth_word, reduce_word, weight)
 
 
 @dataclass(frozen=True)
@@ -24,14 +25,27 @@ class ConjugationCertificate:
     trace: LiftTrace
 
 
+# Longest conjugate beta · w · beta^{-1} that witness_conjugator lifts.  A
+# lift keeps about 700 bytes per letter (the 439,685 letters of the index
+# 17,255 witness peak near 300 MB), so this bounds a witness near 3 GB.
+MAX_LIFT_LETTERS = 2 ** 22
+
+
 def witness_conjugator(w: Word) -> ConjugationCertificate:
     """For an essential word w, lift beta · w · beta^{-1} from the base
     point with beta = anchor(index_of(w)) and certify the endpoint is
-    not the base point."""
+    not the base point.  Raises ValueError, before spelling beta, when
+    that word is longer than MAX_LIFT_LETTERS."""
     w = check_word(w)
     if not reduce_word(w):
         raise ValueError("word reduces to the empty word; nothing to certify")
     j = index_of(w)
+    beta_len = anchor_length(j)
+    if 2 * beta_len + len(w) > MAX_LIFT_LETTERS:
+        raise ValueError(
+            f"the conjugator of index {j} has |beta| = {beta_len} letters, so the lift "
+            f"of beta w beta^-1 would take {2 * beta_len + len(w)} steps, over the "
+            f"limit of {MAX_LIFT_LETTERS}")
     beta = anchor(j)
     gamma = beta + w + invert(beta)
     trace = lift_word(gamma)

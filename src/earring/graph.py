@@ -17,10 +17,12 @@ from .caching import Memo, on_reset
 from .words import (
     Word,
     anchor_length,
+    check_word,
     invert,
     is_reduced,
     nth_word,
     reduce_word,
+    word_length,
     zigzag_prefix,
 )
 
@@ -138,6 +140,7 @@ def island_data(j: int) -> IslandData:
 # both filters are bisectable.
 
 _anchor_lens: list[int] = []   # _anchor_lens[j-1] = anchor_length(j)
+_wlens: list[int] = []         # _wlens[j-1] = |w_j|
 _bounds: list[int] = []        # anchor_length(j) - 2|w_j| - 1
 _max_wlen: list[int] = [0]     # prefix maxima of |w_j|
 
@@ -146,8 +149,9 @@ def _extend_index(target_len: int) -> None:
     while not _bounds or _bounds[-1] <= target_len:
         j = len(_bounds) + 1
         a = anchor_length(j)
-        wl = len(nth_word(j))
+        wl = word_length(j)
         _anchor_lens.append(a)
+        _wlens.append(wl)
         _bounds.append(a - 2 * wl - 1)
         _max_wlen.append(max(_max_wlen[-1], wl))
 
@@ -243,7 +247,7 @@ def _locate(n: int, p: int, run: int, last: int, middle) -> Optional[tuple]:
     hi = bisect_right(_anchor_lens, p + wm + 1, 0, jmax)
     mid = None
     for j in range(lo + 1, hi + 1):
-        if abs(_anchor_lens[j - 1] - p) > len(nth_word(j)) + 1:
+        if abs(_anchor_lens[j - 1] - p) > _wlens[j - 1] + 1:
             continue
         data = island_data(j)
         # every island vertex is z or reduce(z . a_s^r) with the power
@@ -270,6 +274,9 @@ def classify(v: Word, ray_len: Optional[int] = None) -> Optional[IslandHit]:
     cached = _classify_memo.get(v)
     if cached is not None:
         return None if cached is _NO_HIT else cached
+    # only reduced words are memoized, so a hit needs no test
+    if not is_reduced(v):
+        raise ValueError("island membership is defined only for reduced words")
     n = len(v)
     p = ray_len if ray_len is not None else ray_agreement(v)
     run = _suffix_run(v)
@@ -280,9 +287,7 @@ def classify(v: Word, ray_len: Optional[int] = None) -> Optional[IslandHit]:
 
 def island_of(v: Word) -> Optional[int]:
     """The unique island index containing v, or None."""
-    if not is_reduced(v):
-        raise ValueError("island_of expects a reduced word")
-    hit = classify(v)
+    hit = classify(check_word(v))
     return hit.j if hit else None
 
 
@@ -353,11 +358,12 @@ def _descend(v: Word) -> Optional["Vertex"]:
 
 def survives(v: Word) -> bool:
     """True iff the reduced word v is a vertex of the pruned tree."""
-    if not is_reduced(v):
-        raise ValueError("survives expects a reduced word")
-    v = tuple(v)
+    v = check_word(v)
     cached = _survives_memo.get(v)
     if cached is None:
+        # only reduced words are memoized, so a hit needs no test
+        if not is_reduced(v):
+            raise ValueError("survives expects a reduced word")
         cached = _descend(v) is not None
         _survives_memo.put(v, cached)
     return cached
@@ -369,7 +375,7 @@ def e_set(v) -> frozenset:
     if isinstance(v, Vertex):
         return v.e_set
     word = tuple(v)
-    if not survives(word):
+    if not survives(word):  # which validates the letters
         raise ValueError("e_set is defined only for surviving vertices")
     return _labels(classify(word))
 
@@ -433,7 +439,7 @@ class Vertex:
     @staticmethod
     def make(word: Word) -> "Vertex":
         """The vertex of a reduced word that survives the pruning."""
-        word = tuple(word)
+        word = check_word(word)
         v = _vertex_memo.get(word)
         if v is not None:
             return v

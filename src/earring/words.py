@@ -10,25 +10,33 @@ within a weight by increasing length, within a length lexicographically
 under a_1 < a_1^{-1} < a_2 < a_2^{-1} < ...  Anchor words are the
 alternating a_1 a_2 a_1 a_2 ... prefixes of prescribed length used to
 graft each enumerated word onto the zig-zag ray.
+
+The index arithmetic is closed-form: `nth_word` unranks j inside its
+(length, max index) class, `index_of` ranks a word, and `word_length`,
+`cumulative_length` and `anchor_length` sum over classes.  No word is
+enumerated or stored; the only table holds one entry per class, about
+w^2/2 entries for the words of weight up to w.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
-from typing import Iterator, Optional
+from bisect import bisect_right
 
 Letter = int
 Word = tuple  # tuple[int, ...]
 
 
 def check_word(w: Word) -> Word:
-    """Validate letters (nonzero ints, not bools); return w unchanged."""
-    for x in w:
-        # bool is an int subclass; the type test keeps plain ints fast
-        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)) or x == 0:
-            raise ValueError(f"invalid letter {x!r}: letters are nonzero ints")
-    return tuple(w)
+    """Validate letters (nonzero ints, not bools); return w as a tuple."""
+    w = tuple(w)
+    # a word of plain nonzero ints passes at C speed, with no Python loop
+    if operator.countOf(map(type, w), int) != len(w) or not all(w):
+        for x in w:
+            # bool is an int subclass
+            if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)) or x == 0:
+                raise ValueError(f"invalid letter {x!r}: letters are nonzero ints")
+    return w
 
 
 def reduce_word(w: Word) -> Word:
@@ -43,8 +51,8 @@ def reduce_word(w: Word) -> Word:
 
 
 def is_reduced(w: Word) -> bool:
-    # pairs (w[i+1], -w[i]), compared at C speed
-    return all(map(operator.ne, w[1:], map(operator.neg, w)))
+    # no adjacent pair x, -x: every sum w[i] + w[i+1] is nonzero, at C speed
+    return all(map(operator.add, w, w[1:]))
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -75,61 +83,69 @@ def _letter_from_rank(d: int) -> Letter:
 
 
 # --- canonical enumeration -------------------------------------------------
+# The words of one (length, m) class, m the max generator index, all have
+# the same length, so positions and letter counts are sums over classes.
+# The class table lists the classes in enumeration order, one weight at a
+# time, and grows only as far as the largest index asked for: about
+# w^2/2 entries reach the words of weight w.
+
+_firsts: list[int] = [0]  # _firsts[k]: words before class k; last: words in the table
+_classes: list[tuple] = []  # class k: (length, m, letters before class k)
+_letters_total = 0
+
 
 def _class_count(length: int, m: int) -> int:
     """Words of given length over {a_1^±..a_m^±} whose max index is exactly m."""
     return (2 * m) ** length - (2 * m - 2) ** length
 
 
-def _gen_words() -> Iterator[Word]:
-    w = 2
-    while True:
-        for length in range(1, w):
-            m = w - length
-            floor_rank = 2 * m - 2
-            for digits in itertools.product(range(2 * m), repeat=length):
-                if max(digits) >= floor_rank:
-                    yield tuple(_letter_from_rank(d) for d in digits)
-        w += 1
+def _add_weight() -> None:
+    global _letters_total
+    wt = sum(_classes[-1][:2]) + 1 if _classes else 2
+    for length in range(1, wt):
+        m = wt - length
+        count = _class_count(length, m)
+        _classes.append((length, m, _letters_total))
+        _firsts.append(_firsts[-1] + count)
+        _letters_total += count * length
 
 
-_words: list[Word] = []
-_cum_len: list[int] = [0]  # _cum_len[j] = |w_1| + ... + |w_j|
-_gen = _gen_words()
-
-
-def _extend_to(j: int) -> None:
-    while len(_words) < j:
-        w = next(_gen)
-        _words.append(w)
-        _cum_len.append(_cum_len[-1] + len(w))
+def _class_of(j: int) -> tuple:
+    """(class of w_j, words of that class before w_j), for j >= 1."""
+    j = operator.index(j)  # a float would unrank to float letters
+    while _firsts[-1] < j:
+        _add_weight()
+    k = bisect_right(_firsts, j - 1) - 1
+    return _classes[k], j - 1 - _firsts[k]
 
 
 def nth_word(j: int) -> Word:
     """The j-th word of the canonical enumeration (j >= 1)."""
     if j < 1:
         raise ValueError("enumeration index must be >= 1")
-    _extend_to(j)
-    return _words[j - 1]
-
-
-def _lex_rank(w: Word, m: int) -> int:
-    """Number of equal-length words over {a_1^±..a_m^±} lex-smaller than w.
-
-    Letters of w may lie outside the alphabet; such prefixes admit no
-    continuation and the count is truncated there.
-    """
-    if m < 1:
-        return 0
+    (length, m, _), r = _class_of(j)
+    # unrank r among the words over digits 0..2m-1 that contain a digit
+    # >= 2m-2, in lexicographic order: while no such digit has appeared, a
+    # digit d < 2m-2 leaves size^rest - low^rest continuations, one >= 2m-2
+    # leaves size^rest
     size = 2 * m
-    total = 0
-    n = len(w)
-    for p, x in enumerate(w):
-        d = _letter_rank(x)
-        total += min(d, size) * size ** (n - 1 - p)
-        if d >= size:
-            break
-    return total
+    low = size - 2
+    high = low == 0
+    out = []
+    for rest in range(length - 1, -1, -1):
+        block = size ** rest
+        if high:
+            d, r = divmod(r, block)
+        else:
+            part = block - low ** rest
+            if r < low * part:
+                d, r = divmod(r, part)
+            else:
+                d, r = divmod(r - low * part, block)
+                d += low
+                high = True
+        out.append(_letter_from_rank(d))
+    return tuple(out)
 
 
 def index_of(w: Word) -> int:
@@ -137,32 +153,55 @@ def index_of(w: Word) -> int:
     w = check_word(w)
     if not w:
         raise ValueError("the empty word has no enumeration index")
-    m = max(abs(x) for x in w)
+    m = max(map(abs, w))
     length = len(w)
     wt = length + m
-    idx = 0
-    for wprime in range(2, wt):
-        for lp in range(1, wprime):
-            idx += _class_count(lp, wprime - lp)
-    for lp in range(1, length):
-        idx += _class_count(lp, wt - lp)
-    idx += _lex_rank(w, m) - _lex_rank(w, m - 1)
-    return idx + 1
+    # the classes of weight wt start at (wt-1)(wt-2)/2 and go by length
+    k = (wt - 1) * (wt - 2) // 2 + length - 1
+    while len(_classes) <= k:
+        _add_weight()
+    # rank w inside its class; the inverse of the unranking in nth_word
+    size = 2 * m
+    low = size - 2
+    high = low == 0
+    r = 0
+    for rest, x in zip(range(length - 1, -1, -1), w):
+        d = _letter_rank(x)
+        block = size ** rest
+        if high:
+            r += d * block
+        elif d < low:
+            r += d * (block - low ** rest)
+        else:
+            r += low * (block - low ** rest) + (d - low) * block
+            high = True
+    return _firsts[k] + r + 1
+
+
+def word_length(j: int) -> int:
+    """|w_j|, without spelling w_j."""
+    if j < 1:
+        raise ValueError("enumeration index must be >= 1")
+    return _class_of(j)[0][0]
 
 
 def cumulative_length(j: int) -> int:
     """|w_1| + |w_2| + ... + |w_j| (0 for j = 0)."""
     if j < 0:
         raise ValueError("index must be >= 0")
-    _extend_to(j)
-    return _cum_len[j]
+    if j == 0:
+        return 0
+    (length, _, before), r = _class_of(j)
+    return before + (r + 1) * length
 
 
 def anchor_length(j: int) -> int:
     """2(|w_1|+...+|w_{j-1}|) + 3j + |w_j|."""
     if j < 1:
         raise ValueError("anchor index must be >= 1")
-    return 2 * cumulative_length(j - 1) + 3 * j + len(nth_word(j))
+    (length, _, before), r = _class_of(j)
+    # w_1..w_{j-1} are the classes before w_j's and r words of its own
+    return 2 * (before + r * length) + 3 * j + length
 
 
 _zigzag: tuple = ()

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -153,6 +154,18 @@ class TestWitness:
             assert obj["message"] == "out of memory"
         else:
             assert err == "witness: error: out of memory\n"
+
+    @pytest.mark.parametrize("json_flag", [True, False])
+    def test_too_long_lift_is_refused_quickly(self, capsys, json_flag):
+        # a_12 has index 41,501,135 and an anchor of 777,124,938 letters
+        argv = ["--json"] if json_flag else []
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "witness", "12")
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert "|beta| = 777124938" in out + err
+        if json_flag:
+            assert json.loads(out)["status"] == "error"
 
     def test_trace_included_in_json(self, capsys):
         code, obj = run_json(capsys, "witness", "--trace", "3")

@@ -3,7 +3,7 @@ import pytest
 from earring.corefree import core_free_scan, midpoint_structure_check, witness_conjugator
 from earring.graph import base_vertex
 from earring.lifting import in_k
-from earring.words import anchor, invert, reduce_word
+from earring.words import anchor, anchor_length, invert, reduce_word
 
 
 class TestWitnessConjugator:
@@ -25,6 +25,16 @@ class TestWitnessConjugator:
         cert = witness_conjugator((2, 1, -1))
         assert cert.verdict
         assert cert.word == (2, 1, -1)
+
+    def test_lift_length_bound(self, monkeypatch):
+        # |beta w beta^-1| = 2 anchor_length(9) + 1 for w = a_3, j = 9
+        from earring import corefree
+        n = 2 * anchor_length(9) + 1
+        monkeypatch.setattr(corefree, "MAX_LIFT_LETTERS", n)
+        assert witness_conjugator((3,)).verdict
+        monkeypatch.setattr(corefree, "MAX_LIFT_LETTERS", n - 1)
+        with pytest.raises(ValueError, match=f"beta. = {anchor_length(9)} "):
+            witness_conjugator((3,))
 
     def test_null_word_rejected(self):
         with pytest.raises(ValueError):

@@ -129,6 +129,28 @@ class TestSurvives:
             assert survives(v[:t])
 
 
+ENTRY_POINTS = pytest.mark.parametrize(
+    "entry", [survives, island_of, e_set, Vertex.make],
+    ids=["survives", "island_of", "e_set", "Vertex.make"])
+
+
+class TestInputValidation:
+    @ENTRY_POINTS
+    @pytest.mark.parametrize("bad", [(0,), (True,), (1, False), (1, 2, 0), (1.0,), ("1",)])
+    def test_invalid_letters_rejected(self, entry, bad):
+        # (True,) hashes equal to (1,): the memos must not answer for it
+        entry((1,))
+        entry((1, 2))
+        with pytest.raises(ValueError, match="invalid letter"):
+            entry(bad)
+
+    @ENTRY_POINTS
+    @pytest.mark.parametrize("bad", [(1, -1), (1, 2, -2), (3, -3)])
+    def test_unreduced_rejected(self, entry, bad):
+        with pytest.raises(ValueError, match="reduced"):
+            entry(bad)
+
+
 class TestESet:
     def test_base_point(self):
         assert e_set(()) == {1, 2}

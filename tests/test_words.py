@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from earring.words import (
     anchor_length,
     check_word,
     concat,
+    cumulative_length,
     format_word,
     index_of,
     invert,
@@ -14,6 +17,7 @@ from earring.words import (
     parse_word,
     reduce_word,
     weight,
+    word_length,
 )
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
@@ -99,6 +103,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             nth_word(0)
 
+    @pytest.mark.parametrize("f", [nth_word, word_length, cumulative_length, anchor_length])
+    def test_non_integer_index_rejected(self, f):
+        with pytest.raises(TypeError):
+            f(2.5)
+
     def test_length_steps_bounded(self):
         # consecutive lengths never jump up by more than one
         prev = len(nth_word(1))
@@ -113,6 +122,49 @@ class TestEnumeration:
             cur = weight(nth_word(j))
             assert cur >= prev
             prev = cur
+
+
+def reference_words():
+    """The canonical enumeration spelled out word by word, by weight, then
+    length, then lexicographically under a_1 < a_1^-1 < a_2 < ...: the
+    definition the closed forms are checked against."""
+    wt = 2
+    while True:
+        for length in range(1, wt):
+            m = wt - length
+            for digits in itertools.product(range(2 * m), repeat=length):
+                if max(digits) >= 2 * m - 2:
+                    yield tuple(d // 2 + 1 if d % 2 == 0 else -(d // 2 + 1) for d in digits)
+        wt += 1
+
+
+FAR = [10**12, 41_501_135, 4 * 10**39]
+
+
+class TestClosedForm:
+    def test_matches_reference_enumeration(self):
+        total = 0
+        for j, w in zip(range(1, 10**5 + 1), reference_words()):
+            assert nth_word(j) == w
+            assert index_of(w) == j
+            assert word_length(j) == len(w)
+            assert anchor_length(j) == 2 * total + 3 * j + len(w)
+            total += len(w)
+            assert cumulative_length(j) == total
+
+    @pytest.mark.parametrize("j", FAR)
+    def test_far_round_trip(self, j):
+        assert index_of(nth_word(j)) == j
+
+    @pytest.mark.parametrize("j", FAR)
+    def test_far_anchor_step(self, j):
+        gap = anchor_length(j + 1) - anchor_length(j)
+        assert gap == len(nth_word(j)) + 3 + len(nth_word(j + 1))
+
+    def test_graph_index_lengths(self):
+        from earring import graph
+        graph._extend_index(20_000)
+        assert graph._wlens == [len(nth_word(j)) for j in range(1, len(graph._wlens) + 1)]
 
 
 class TestAnchor:
