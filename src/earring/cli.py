@@ -212,13 +212,17 @@ def run(args) -> int:
             }
             for e in report.entries
         ]
-        _emit(args, cmd, {
+        payload = {
             "input": str(args.max_weight),
             "checked": report.checked,
             "skipped": report.skipped,
-            "failures": len(report.failures),
-            "entries": entries if args.json else f"[{len(entries)} words]",
-        })
+        }
+        if report.refused:
+            # only a scan past the lift limit refuses words
+            payload["refused"] = report.refused
+        payload["failures"] = len(report.failures)
+        payload["entries"] = entries if args.json else f"[{len(entries)} words]"
+        _emit(args, cmd, payload)
         return 0 if report.ok else 2
 
     if cmd in ("q-point", "charts"):

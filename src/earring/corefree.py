@@ -26,9 +26,21 @@ class ConjugationCertificate:
 
 
 # Longest conjugate beta · w · beta^{-1} that witness_conjugator lifts.  A
-# lift keeps about 700 bytes per letter (the 439,685 letters of the index
-# 17,255 witness peak near 300 MB), so this bounds a witness near 3 GB.
+# lift keeps about 500 bytes per letter (the 439,685 letters of the index
+# 17,255 witness add 210 MB, for a peak near 256 MB), so this bounds a
+# witness near 2 GB.
 MAX_LIFT_LETTERS = 2 ** 22
+
+
+def _oversize(j: int, w: Word) -> Optional[str]:
+    """Why the lift of beta · w · beta^{-1}, with beta = anchor(j), is
+    refused, or None when it has at most MAX_LIFT_LETTERS letters."""
+    beta_len = anchor_length(j)
+    if 2 * beta_len + len(w) <= MAX_LIFT_LETTERS:
+        return None
+    return (f"the conjugator of index {j} has |beta| = {beta_len} letters, so the lift "
+            f"of beta w beta^-1 would take {2 * beta_len + len(w)} steps, over the "
+            f"limit of {MAX_LIFT_LETTERS}")
 
 
 def witness_conjugator(w: Word) -> ConjugationCertificate:
@@ -40,12 +52,9 @@ def witness_conjugator(w: Word) -> ConjugationCertificate:
     if not reduce_word(w):
         raise ValueError("word reduces to the empty word; nothing to certify")
     j = index_of(w)
-    beta_len = anchor_length(j)
-    if 2 * beta_len + len(w) > MAX_LIFT_LETTERS:
-        raise ValueError(
-            f"the conjugator of index {j} has |beta| = {beta_len} letters, so the lift "
-            f"of beta w beta^-1 would take {2 * beta_len + len(w)} steps, over the "
-            f"limit of {MAX_LIFT_LETTERS}")
+    refusal = _oversize(j, w)
+    if refusal:
+        raise ValueError(refusal)
     beta = anchor(j)
     gamma = beta + w + invert(beta)
     trace = lift_word(gamma)
@@ -111,6 +120,7 @@ class ScanReport:
     checked: int
     skipped: int
     failures: tuple
+    refused: int     # essential words whose lift is over MAX_LIFT_LETTERS
 
     @property
     def ok(self) -> bool:
@@ -120,13 +130,15 @@ class ScanReport:
 def core_free_scan(max_weight: int) -> ScanReport:
     """Run the witness construction over every essential word of weight
     at most max_weight; report per-word K-membership and any verdict
-    failures (expected: none)."""
+    failures (expected: none).  A word whose witness lift would be longer
+    than MAX_LIFT_LETTERS is refused: its entry has verdict None."""
     if max_weight < 2:
         raise ValueError("max_weight must be >= 2")
     entries = []
     failures = []
     checked = 0
     skipped = 0
+    refused = 0
     j = 1
     while True:
         w = nth_word(j)
@@ -135,6 +147,9 @@ def core_free_scan(max_weight: int) -> ScanReport:
         if not reduce_word(w):
             skipped += 1
             entries.append(ScanEntry(j, w, False, None, None))
+        elif _oversize(j, w):
+            refused += 1
+            entries.append(ScanEntry(j, w, True, in_k(w), None))
         else:
             cert = witness_conjugator(w)
             checked += 1
@@ -143,4 +158,4 @@ def core_free_scan(max_weight: int) -> ScanReport:
             if not cert.verdict:
                 failures.append((j, format_word(w)))
         j += 1
-    return ScanReport(max_weight, tuple(entries), checked, skipped, tuple(failures))
+    return ScanReport(max_weight, tuple(entries), checked, skipped, tuple(failures), refused)

@@ -334,6 +334,10 @@ def _labels(hit: Optional[tuple]) -> frozenset:
     return labels
 
 
+# a_1 and a_2 are tree labels at every surviving vertex, so a step by one
+# of these letters needs no island
+_LOW_LETTERS = frozenset((1, -1, 2, -2))
+
 _survives_memo = Memo()
 
 
@@ -349,7 +353,7 @@ def _descend(v: Word) -> Optional["Vertex"]:
     `Vertex.step` applies."""
     node = _root
     for x in v:
-        if abs(x) not in node.e_set:
+        if x not in _LOW_LETTERS and abs(x) not in node.e_set:
             return None
         kids = node._children
         node = kids and kids.get(x) or node._child(x)
@@ -397,35 +401,53 @@ def _letters(node: "Vertex", stop: int) -> Word:
 
 class Vertex:
     """A surviving vertex: a node of the trie of visited vertices, rooted
-    at the base point.  Each node derives its depth, ray agreement, final
-    constant-letter run and island classification from its parent and its
-    letter, so a step costs O(1) along the ray and never copies the word;
-    `word` is spelled out only when asked for."""
+    at the base point.  Each node derives its depth, ray agreement and
+    final constant-letter run from its parent and its letter, so a step
+    costs O(1) and never copies the word; `word` is spelled out only when
+    asked for.  The island is located on the first read of `e_set` or
+    `hit`, and a step by a_1^{+-1} or a_2^{+-1} never reads them, since
+    {1, 2} is in every vertex's e_set."""
 
     __slots__ = ("parent", "letter", "depth", "ray_len", "run", "run_start",
-                 "_hit", "e_set", "_children")
+                 "_hit", "_e_set", "_children")
 
     def __init__(self, parent: Optional["Vertex"] = None, letter: int = 0):
         self.parent = parent
         self.letter = letter
         self._children = None
+        self._hit = None
         if parent is None:
             self.depth = self.ray_len = self.run = 0
             self.run_start = None
-            self._hit = None
+            self._e_set = _labels(None)
         else:
             n = parent.depth
             p = parent.ray_len
             self.depth = n + 1
-            self.ray_len = p = p + 1 if p == n and letter == _ray_letter(n) else p
+            self.ray_len = p + 1 if p == n and letter == _ray_letter(n) else p
             if letter == parent.letter:
                 self.run = parent.run + 1
-                self.run_start = start = parent.run_start
+                self.run_start = parent.run_start
             else:
                 self.run = 1
-                self.run_start = start = parent
-            self._hit = _locate(n + 1, p, self.run, letter, lambda: _letters(start, p))
-        self.e_set = _labels(self._hit)
+                self.run_start = parent
+            self._e_set = None
+
+    def _classify(self) -> frozenset:
+        """Locate the island, store the compact hit and its labels, and
+        return the labels.  Both depend on the word alone, so this runs
+        at most once per node."""
+        start, p = self.run_start, self.ray_len
+        self._hit = hit = _locate(self.depth, p, self.run, self.letter,
+                                  lambda: _letters(start, p))
+        self._e_set = labels = _labels(hit)
+        return labels
+
+    @property
+    def e_set(self) -> frozenset:
+        """Labels of the tree edges at this vertex."""
+        labels = self._e_set
+        return labels if labels is not None else self._classify()
 
     @property
     def word(self) -> Word:
@@ -434,6 +456,8 @@ class Vertex:
     @property
     def hit(self) -> Optional[IslandHit]:
         """Island membership certificate, as `classify` gives it."""
+        if self._e_set is None:
+            self._classify()
         return _certificate(self._hit)
 
     @staticmethod
@@ -463,7 +487,7 @@ class Vertex:
     def step(self, letter: int):
         """One edge traversal: ('tree', neighbor) if the label is a tree
         label here, else ('loop', self)."""
-        if abs(letter) not in self.e_set:
+        if letter not in _LOW_LETTERS and abs(letter) not in self.e_set:
             return ("loop", self)
         if letter == -self.letter:
             return ("tree", self.parent)

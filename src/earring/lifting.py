@@ -5,19 +5,21 @@ Each letter of a word is traversed as a tree edge when its label belongs
 to the current vertex's tree-label set, and as a loop otherwise; the
 lift is the deterministic fold of that step rule.  A step neither copies
 nor hashes the vertex word, so a lift is linear in the word's length.
+Labels 1 and 2 are tree labels at every vertex, so a step by a_1^{+-1} or
+a_2^{+-1} is plain free reduction; only a step by a higher letter makes
+the current vertex locate its island, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph import Vertex, base_vertex
 from .words import Word, check_word
 
 
-@dataclass(frozen=True)
-class LiftStep:
+class LiftStep(NamedTuple):
     letter: int
     kind: str        # 'tree' or 'loop'
     at: Vertex       # position after the step

@@ -245,4 +245,4 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(w: Word) -> str:
-    return "e" if not w else " ".join(str(x) for x in w)
+    return "e" if not w else " ".join(map(str, w))

@@ -187,6 +187,20 @@ class TestScan:
         code, out, err = run_cli(capsys, "scan", "--max-weight", "1")
         assert code == 1
 
+    def test_refused_words_are_counted(self, capsys, monkeypatch):
+        from earring import corefree
+        code, out, _ = run_cli(capsys, "scan", "--max-weight", "4")
+        assert code == 0
+        assert out == "scan 4: checked=26 skipped=4 failures=0 entries=[30 words]\n"
+        # the first 8 words have |beta w beta^-1| <= 100
+        monkeypatch.setattr(corefree, "MAX_LIFT_LETTERS", 100)
+        code, out, _ = run_cli(capsys, "scan", "--max-weight", "4")
+        assert code == 0
+        assert out == "scan 4: checked=6 skipped=4 refused=20 failures=0 entries=[30 words]\n"
+        code, obj = run_json(capsys, "scan", "--max-weight", "4")
+        assert obj["output"]["refused"] == 20
+        assert [e["verdict"] for e in obj["output"]["entries"][8:]] == [None] * 22
+
 
 class TestPoints:
     def test_q_point_vertex(self, capsys):

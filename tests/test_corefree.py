@@ -99,3 +99,21 @@ class TestScan:
     def test_too_small_weight_rejected(self):
         with pytest.raises(ValueError):
             core_free_scan(1)
+
+    def test_words_over_the_lift_limit_are_refused(self, monkeypatch):
+        from earring import corefree
+        full = core_free_scan(4)
+        assert full.refused == 0
+        monkeypatch.setattr(corefree, "MAX_LIFT_LETTERS", 100)
+        report = core_free_scan(4)
+        refused = [e for e in report.entries
+                   if e.essential and 2 * anchor_length(e.j) + len(e.word) > 100]
+        assert refused and refused[0].j == 9
+        assert report.refused == len(refused)
+        assert report.checked == full.checked - len(refused)
+        assert report.skipped == full.skipped
+        assert report.ok
+        for entry, before in zip(report.entries, full.entries):
+            assert (entry.j, entry.word, entry.essential, entry.in_k) == \
+                (before.j, before.word, before.essential, before.in_k)
+            assert entry.verdict is (None if entry in refused else before.verdict)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earring.graph import Vertex, base_vertex
+from earring.graph import Vertex, base_vertex, e_set
 from earring.lifting import endpoint, in_k, lift_word
 from earring.words import anchor, concat, invert, reduce_word
 
@@ -39,6 +39,27 @@ class TestLiftWord:
     def test_rejects_bad_letter(self):
         with pytest.raises(ValueError):
             lift_word((0,))
+
+
+class TestLowLetters:
+    """a_1 and a_2 are tree labels at every vertex, so `Vertex.step`
+    takes them without locating an island; this checks that shortcut
+    against the labels the vertex and `classify` give."""
+
+    @given(st.integers(min_value=0, max_value=50),
+           st.lists(st.integers(min_value=-6, max_value=6).filter(bool), max_size=12),
+           st.lists(st.sampled_from([1, -1, 2, -2]), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_steps_are_free_reduction(self, j, walk, u):
+        start = endpoint(tuple(walk), start=Vertex.make(anchor(j)) if j else base_vertex())
+        trace = lift_word(tuple(u), start=start)
+        at = start
+        for step in trace.steps:
+            assert abs(step.letter) in at.e_set
+            assert abs(step.letter) in e_set(at.word)
+            assert step.kind == "tree"
+            at = step.at
+        assert trace.endpoint.word == reduce_word(start.word + tuple(u))
 
 
 class TestEndpoint:

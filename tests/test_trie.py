@@ -16,6 +16,7 @@ from earring.graph import (
     ray_agreement,
     survives,
 )
+from earring.lifting import lift_word
 from earring.words import anchor, index_of, invert, nth_word, reduce_word
 
 
@@ -130,6 +131,38 @@ class TestTrieAgainstWords:
         assert Vertex.make(v.word) == v
         assert v.step(-3)[1] == Vertex.make(anchor(9) + (3,))
         assert base_vertex() == Vertex.make(())
+
+
+class TestLazyClassification:
+    """A vertex locates its island only when a label above 2 is asked of
+    it; the checks above read hit and e_set on every vertex, so they
+    compare the lazy classification with `classify` on the word."""
+
+    @pytest.fixture
+    def locate_calls(self, monkeypatch):
+        from earring import graph
+        calls = []
+        inner = graph._locate
+
+        def counted(*args):
+            calls.append(args[:2])
+            return inner(*args)
+
+        reset_caches()
+        monkeypatch.setattr(graph, "_locate", counted)
+        return calls
+
+    def test_anchor_lift_locates_nothing(self, locate_calls):
+        trace = lift_word(anchor(1000))
+        assert all(step.kind == "tree" for step in trace.steps)
+        assert trace.endpoint.word == anchor(1000)
+        assert locate_calls == []
+
+    def test_witness_locates_only_in_the_middle(self, locate_calls):
+        w = nth_word(1000)
+        cert = witness_conjugator(w)
+        assert cert.verdict is True
+        assert len(locate_calls) <= len(w) + 2
 
 
 class TestMemoryScaling:
