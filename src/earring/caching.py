@@ -1,10 +1,13 @@
-"""Capped memoization shared by the graph oracles.
+"""The byte cap on the word index, and the reset of all cached state.
 
-The environment variable EARRING_CACHE_BYTES bounds the total approximate
-memory used by cross-call memo tables (0 disables them entirely).  When
-the budget is exceeded, the largest table is dropped and recomputed on
-demand.  Caches are transparent: every result is recomputable, so capping
-or disabling them never changes observable behavior.
+The environment variable EARRING_CACHE_BYTES bounds the graph's word
+index, the one table keyed by words (word -> trie vertex, or pruned).
+Its cost is an estimate, 128 bytes plus 8 per letter of each key; when
+the next entry would pass the cap the whole table is cleared, and 0
+keeps it empty.  Island data and the trie of visited vertices are not
+bounded.  `reset_caches()` drops all three.  Caches are transparent:
+every result is recomputable, so capping or disabling them never changes
+observable behavior.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import os
 _DEFAULT_LIMIT = 1024 * 2**20
 
 _limit: int | None = None
-_spent = 0
-_memos: list["Memo"] = []
 _resets: list = []
 
 
@@ -27,55 +28,16 @@ def cache_limit() -> int:
 
 
 def reset_caches(limit: int | None = None) -> None:
-    """Clear all memo tables and everything registered with `on_reset`.
-    With `limit` given, pin the byte cap; otherwise it is re-read from
-    the environment on next use."""
-    global _limit, _spent
-    for m in _memos:
-        m._d.clear()
-        m._spent = 0
+    """Drop everything registered with `on_reset`.  With `limit` given,
+    pin the byte cap; otherwise it is re-read from the environment on
+    next use."""
+    global _limit
     for fn in _resets:
         fn()
-    _spent = 0
     _limit = limit
 
 
 def on_reset(fn):
-    """Register fn to be called by reset_caches: for state that is not
-    under the byte cap but is dropped with the memos."""
+    """Register fn to be called by reset_caches."""
     _resets.append(fn)
     return fn
-
-
-class Memo:
-    """A dict-backed memo honoring the global byte cap."""
-
-    __slots__ = ("_d", "_spent")
-
-    def __init__(self) -> None:
-        self._d: dict = {}
-        self._spent = 0
-        _memos.append(self)
-
-    def get(self, key, default=None):
-        return self._d.get(key, default)
-
-    def put(self, key, value) -> None:
-        global _spent
-        limit = cache_limit()
-        if limit <= 0:
-            return
-        cost = 128 + 8 * (len(key) if isinstance(key, tuple) else 1)
-        while _spent + cost > limit:
-            victim = max(_memos, key=lambda m: m._spent)
-            if victim._spent == 0:
-                return
-            victim._d.clear()
-            _spent -= victim._spent
-            victim._spent = 0
-        self._d[key] = value
-        self._spent += cost
-        _spent += cost
-
-    def __contains__(self, key) -> bool:
-        return key in self._d

@@ -177,10 +177,16 @@ def run(args) -> int:
 
     if cmd == "zpath":
         data = graph.island_data(args.j)
+        letters = sum(rec[0] for rec in data.path)
+        if letters > corefree.MAX_LIFT_LETTERS:
+            _emit(args, cmd, {"input": str(args.j)}, "error",
+                  f"the z_path of island {args.j} has {letters} letters, over the "
+                  f"limit of {corefree.MAX_LIFT_LETTERS}")
+            return 1
         _emit(args, cmd, {
             "input": str(args.j),
             "word": format_word(data.word),
-            "anchor_length": len(data.anchor),
+            "anchor_length": data.anchor_len,
             "level": data.level,
             "z_path": [format_word(z) for z in data.z_path],
         })

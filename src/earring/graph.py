@@ -8,14 +8,14 @@ answered from the word alone.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .caching import Memo, on_reset
+from .caching import cache_limit, on_reset
 from .words import (
     Word,
+    anchor_index,
     anchor_length,
     check_word,
     invert,
@@ -90,13 +90,13 @@ class IslandData:
         return frozenset(info[0] for info in self.z_info)
 
 
-_island_memo = Memo()
+_islands: dict = {}  # j -> IslandData
 
 
 def island_data(j: int) -> IslandData:
     if j < 1:
         raise ValueError("island index must be >= 1")
-    cached = _island_memo.get(j)
+    cached = _islands.get(j)
     if cached is not None:
         return cached
     wj = nth_word(j)
@@ -125,35 +125,8 @@ def island_data(j: int) -> IslandData:
     records = tuple(sorted(set(path), key=rest))
     data = IslandData(j, wj, level, path[0][0], tuple(path), records,
                       max(rec[0] for rec in records))
-    _island_memo.put(j, data)
+    _islands[j] = data
     return data
-
-
-# --- candidate-island index ------------------------------------------------
-# For a word v, an island j can contain v only if
-#   anchor_length(j) - 2|w_j| - 1 <= |v|        (vertex-length bound)
-# and
-#   | anchor_length(j) - ray_agreement(v) | <= |w_j| + 1,
-# since every island vertex agrees with the zig-zag ray on a prefix that
-# is within |w_j| + 1 of the anchor length.  The length bound is strictly
-# increasing in j (consecutive difference 3|w_j| - |w_{j+1}| + 3 > 0), so
-# both filters are bisectable.
-
-_anchor_lens: list[int] = []   # _anchor_lens[j-1] = anchor_length(j)
-_wlens: list[int] = []         # _wlens[j-1] = |w_j|
-_bounds: list[int] = []        # anchor_length(j) - 2|w_j| - 1
-_max_wlen: list[int] = [0]     # prefix maxima of |w_j|
-
-
-def _extend_index(target_len: int) -> None:
-    while not _bounds or _bounds[-1] <= target_len:
-        j = len(_bounds) + 1
-        a = anchor_length(j)
-        wl = word_length(j)
-        _anchor_lens.append(a)
-        _wlens.append(wl)
-        _bounds.append(a - 2 * wl - 1)
-        _max_wlen.append(max(_max_wlen[-1], wl))
 
 
 class IslandHit(NamedTuple):
@@ -238,57 +211,44 @@ def _locate(n: int, p: int, run: int, last: int, middle) -> Optional[tuple]:
     and the trie rule behind `Vertex` both come here."""
     if n == 0:
         return None
-    _extend_index(n)
-    jmax = bisect_right(_bounds, n)
-    if jmax == 0:
+    # every vertex of island j agrees with the zig-zag ray on a prefix
+    # within |w_j| + 1 of anchor_length(j), and consecutive anchors are
+    # |w_j| + 3 + |w_{j+1}| apart: only the last anchor at or before p
+    # or the next one can be that close, and at most one of them is
+    j = anchor_index(p)
+    if j == 0 or p - anchor_length(j) > word_length(j) + 1:
+        j += 1
+        if anchor_length(j) - p > word_length(j) + 1:
+            return None
+    data = island_data(j)
+    # every island vertex is z or reduce(z . a_s^r) with the power inside
+    # v's final run, so v[:n-run] fits inside some z; with p near the
+    # anchor length this bounds |mid| by 2|w_j| + 1
+    if n - run > data.max_len:
         return None
-    wm = _max_wlen[jmax]
-    lo = bisect_left(_anchor_lens, p - wm - 1, 0, jmax)
-    hi = bisect_right(_anchor_lens, p + wm + 1, 0, jmax)
-    mid = None
-    for j in range(lo + 1, hi + 1):
-        if abs(_anchor_lens[j - 1] - p) > _wlens[j - 1] + 1:
-            continue
-        data = island_data(j)
-        # every island vertex is z or reduce(z . a_s^r) with the power
-        # inside v's final run, so v[:n-run] fits inside some z; with p
-        # near the anchor length this bounds |mid| by 2|w_j| + 1
-        if n - run > data.max_len:
-            continue
-        if mid is None:
-            mid = middle()
-        hit = _match_island(data, n, p, run, last, mid)
-        if hit is not None:
-            return hit
-    return None
+    return _match_island(data, n, p, run, last, middle())
 
 
-_classify_memo = Memo()
-_NO_HIT = IslandHit(0, "-")
-
-
-def classify(v: Word, ray_len: Optional[int] = None) -> Optional[IslandHit]:
-    """Island membership of a reduced word, or None."""
+def classify(v: Word) -> Optional[IslandHit]:
+    """Island membership of a reduced word, or None: the word-level twin
+    of `Vertex.hit`, which reads the word's letters instead of the
+    trie."""
     if not v:
         return None
-    cached = _classify_memo.get(v)
-    if cached is not None:
-        return None if cached is _NO_HIT else cached
-    # only reduced words are memoized, so a hit needs no test
     if not is_reduced(v):
         raise ValueError("island membership is defined only for reduced words")
     n = len(v)
-    p = ray_len if ray_len is not None else ray_agreement(v)
+    p = ray_agreement(v)
     run = _suffix_run(v)
-    hit = _certificate(_locate(n, p, run, v[-1], lambda: v[p:n - run]))
-    _classify_memo.put(v, hit if hit is not None else _NO_HIT)
-    return hit
+    return _certificate(_locate(n, p, run, v[-1], lambda: v[p:n - run]))
 
 
 def island_of(v: Word) -> Optional[int]:
-    """The unique island index containing v, or None."""
-    hit = classify(check_word(v))
-    return hit.j if hit else None
+    """The unique island index containing v, or None.  A pruned word lies
+    on no island: every island vertex survives the pruning."""
+    node = _vertex_of(v)
+    hit = node and node._compact_hit
+    return hit[0] if hit else None
 
 
 def in_line(v: Word, u: Word, s: int) -> Optional[int]:
@@ -338,8 +298,6 @@ def _labels(hit: Optional[tuple]) -> frozenset:
 # of these letters needs no island
 _LOW_LETTERS = frozenset((1, -1, 2, -2))
 
-_survives_memo = Memo()
-
 
 def _descend(v: Word) -> Optional["Vertex"]:
     """The trie vertex of the reduced word v, or None if v is pruned.
@@ -360,17 +318,40 @@ def _descend(v: Word) -> Optional["Vertex"]:
     return node
 
 
+# The word index: reduced word -> its trie vertex, or False if it is
+# pruned.  It is the one table under the byte cap (see `caching`), at an
+# estimated 128 bytes plus 8 per letter of each key, and is cleared
+# whole when the next entry would pass the cap.
+_index: dict = {}
+_index_bytes = 0
+
+
+def _vertex_of(v: Word):
+    """The trie vertex of the reduced word v, or False if v is pruned."""
+    global _index_bytes
+    # validate first: (True,) hashes equal to (1,)
+    v = check_word(v)
+    node = _index.get(v)
+    if node is not None:
+        return node
+    if not is_reduced(v):
+        raise ValueError("expected a reduced word")
+    node = _descend(v) or False
+    cost = 128 + 8 * len(v)
+    limit = cache_limit()
+    if _index_bytes + cost > limit:
+        _index.clear()
+        _index_bytes = 0
+        if cost > limit:
+            return node
+    _index[v] = node
+    _index_bytes += cost
+    return node
+
+
 def survives(v: Word) -> bool:
     """True iff the reduced word v is a vertex of the pruned tree."""
-    v = check_word(v)
-    cached = _survives_memo.get(v)
-    if cached is None:
-        # only reduced words are memoized, so a hit needs no test
-        if not is_reduced(v):
-            raise ValueError("survives expects a reduced word")
-        cached = _descend(v) is not None
-        _survives_memo.put(v, cached)
-    return cached
+    return _vertex_of(v) is not False
 
 
 def e_set(v) -> frozenset:
@@ -378,15 +359,13 @@ def e_set(v) -> frozenset:
     {1..n_j} on the anchored edge-path, {1,2,s} strictly on a line."""
     if isinstance(v, Vertex):
         return v.e_set
-    word = tuple(v)
-    if not survives(word):  # which validates the letters
+    node = _vertex_of(v)
+    if node is False:
         raise ValueError("e_set is defined only for surviving vertices")
-    return _labels(classify(word))
+    return node.e_set
 
 
 # --- trie vertices -----------------------------------------------------------
-
-_vertex_memo = Memo()
 
 
 def _letters(node: "Vertex", stop: int) -> Word:
@@ -454,25 +433,23 @@ class Vertex:
         return zigzag_prefix(self.ray_len) + _letters(self, self.ray_len)
 
     @property
-    def hit(self) -> Optional[IslandHit]:
-        """Island membership certificate, as `classify` gives it."""
+    def _compact_hit(self) -> Optional[tuple]:
+        """The island hit (j, kind, s, k, r) that `hit` spells out."""
         if self._e_set is None:
             self._classify()
-        return _certificate(self._hit)
+        return self._hit
+
+    @property
+    def hit(self) -> Optional[IslandHit]:
+        """Island membership certificate, as `classify` gives it."""
+        return _certificate(self._compact_hit)
 
     @staticmethod
     def make(word: Word) -> "Vertex":
         """The vertex of a reduced word that survives the pruning."""
-        word = check_word(word)
-        v = _vertex_memo.get(word)
-        if v is not None:
-            return v
-        if not is_reduced(word):
-            raise ValueError("a vertex must be a reduced word")
-        v = _descend(word)
-        if v is None:
+        v = _vertex_of(word)
+        if v is False:
             raise ValueError("word does not survive the pruning")
-        _vertex_memo.put(word, v)
         return v
 
     def _child(self, letter: int) -> "Vertex":
@@ -521,8 +498,12 @@ _root = Vertex()
 
 
 @on_reset
-def _drop_trie() -> None:
+def _drop_caches() -> None:
+    global _index_bytes
     _root._children = None
+    _index.clear()
+    _index_bytes = 0
+    _islands.clear()
 
 
 def base_vertex() -> Vertex:

@@ -12,10 +12,11 @@ alternating a_1 a_2 a_1 a_2 ... prefixes of prescribed length used to
 graft each enumerated word onto the zig-zag ray.
 
 The index arithmetic is closed-form: `nth_word` unranks j inside its
-(length, max index) class, `index_of` ranks a word, and `word_length`,
-`cumulative_length` and `anchor_length` sum over classes.  No word is
-enumerated or stored; the only table holds one entry per class, about
-w^2/2 entries for the words of weight up to w.
+(length, max index) class, `index_of` ranks a word, `word_length`,
+`cumulative_length` and `anchor_length` sum over classes, and
+`anchor_index` inverts `anchor_length`.  No word is enumerated or
+stored; the only table holds one entry per class, about w^2/2 entries
+for the words of weight up to w.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ def _letter_from_rank(d: int) -> Letter:
 
 _firsts: list[int] = [0]  # _firsts[k]: words before class k; last: words in the table
 _classes: list[tuple] = []  # class k: (length, m, letters before class k)
+_first_anchors: list[int] = []  # anchor_length of the first word of class k
 _letters_total = 0
 
 
@@ -106,6 +108,7 @@ def _add_weight() -> None:
         m = wt - length
         count = _class_count(length, m)
         _classes.append((length, m, _letters_total))
+        _first_anchors.append(2 * _letters_total + 3 * (_firsts[-1] + 1) + length)
         _firsts.append(_firsts[-1] + count)
         _letters_total += count * length
 
@@ -202,6 +205,23 @@ def anchor_length(j: int) -> int:
     (length, _, before), r = _class_of(j)
     # w_1..w_{j-1} are the classes before w_j's and r words of its own
     return 2 * (before + r * length) + 3 * j + length
+
+
+def anchor_index(p: int) -> int:
+    """The largest j with anchor_length(j) <= p, or 0."""
+    # the first word past the table anchors at 2 * letters + 3 * (words + 1)
+    # plus its length, so once 2 * letters + 3 * words + 4 exceeds p every
+    # anchor at or below p is in the table
+    while 2 * _letters_total + 3 * _firsts[-1] + 4 <= p:
+        _add_weight()
+    k = bisect_right(_first_anchors, p) - 1
+    if k < 0:
+        return 0
+    # inside a class of length L consecutive anchors are 2L + 3 apart; past
+    # the class's last word the quotient overshoots when the next class has
+    # longer words, hence the clamp
+    r = (p - _first_anchors[k]) // (2 * _classes[k][0] + 3)
+    return _firsts[k] + min(r, _firsts[k + 1] - _firsts[k] - 1) + 1
 
 
 _zigzag: tuple = ()

@@ -70,6 +70,19 @@ class TestZpath:
         assert obj["output"]["z_path"] == ["1 2 1 2", "1 2 1 2 1"]
         assert obj["output"]["level"] == 2
 
+    @pytest.mark.parametrize("json_flag", [True, False])
+    def test_too_long_path_is_refused_quickly(self, capsys, json_flag):
+        # island 41,501,135 (the word a_12) has two edge-path vertices of
+        # 777,124,938 and 777,124,939 letters
+        argv = ["--json"] if json_flag else []
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "zpath", "41501135")
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert "has 1554249877 letters" in out + err
+        if json_flag:
+            assert json.loads(out)["status"] == "error"
+
 
 class TestCrosscheck:
     def test_clean(self, capsys):

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earring import graph
+from earring.caching import reset_caches
 from earring.graph import (
     Vertex,
     base_vertex,
@@ -255,6 +257,98 @@ class TestIslandInvariants:
         for j in range(1, 41):
             for z in island_data(j).z_path:
                 assert survives(z)
+
+
+def _near_islands(jmax, radius):
+    """Every reduced word within `radius` letters over a_1 .. a_{n_j+1} of
+    the Z vertices, and of the line vertices with r in {+-1, +-2}, of the
+    islands j <= jmax."""
+    out = set()
+    for j in range(1, jmax + 1):
+        top = island_data(j).level + 1
+        letters = [x for i in range(1, top + 1) for x in (i, -i)]
+        frontier = _island_sample(j, extent=2)
+        out |= frontier
+        for _ in range(radius):
+            frontier = {reduce_word(v + (x,)) for v in frontier for x in letters}
+            out |= frontier
+    return out
+
+
+class TestIslandOfAgainstClassify:
+    def test_exhaustive_near_islands(self):
+        # island_of reads the trie vertex, classify the word's letters; a
+        # pruned word must lie on no island
+        words = _near_islands(20, 2)
+        pruned = 0
+        for w in words:
+            hit = classify(w)
+            assert island_of(w) == (hit.j if hit else None)
+            if not survives(w):
+                pruned += 1
+                assert hit is None
+        assert len(words) > 10_000 and pruned > 6_000
+
+
+def _queries(words):
+    """The answers of the four word entry points, pruned words included."""
+    out = []
+    for w in words:
+        alive = survives(w)
+        out.append((alive, island_of(w),
+                    sorted(e_set(w)) if alive else None,
+                    Vertex.make(w).word if alive else None))
+    return out
+
+
+class TestCacheContract:
+    """EARRING_CACHE_BYTES bounds the word index; capping it changes no
+    answer."""
+
+    CAP = 65_536
+
+    @staticmethod
+    def _words():
+        """Words within two letters over a_1 .. a_4 of the anchors j <= 30
+        and of their prefixes one letter shorter."""
+        letters = [x for i in range(1, 5) for x in (i, -i)]
+        tails = [()] + [(x,) for x in letters] + [(x, y) for x in letters
+                                                  for y in letters if x != -y]
+        words = []
+        for j in range(1, 31):
+            a = anchor(j)
+            for cut in (0, 1):
+                words += [reduce_word(a[:len(a) - cut] + t) for t in tails]
+        return list(dict.fromkeys(words))
+
+    def test_capped_index_stays_under_cap(self):
+        words = self._words()
+        assert len(words) >= 2_000
+        try:
+            reset_caches()
+            expected = _queries(words)
+            reset_caches(limit=self.CAP)
+            costs = 0
+            for w, want in zip(words, expected):
+                assert _queries([w]) == [want]
+                assert graph._index_bytes <= self.CAP
+                assert len(graph._index) * 128 <= graph._index_bytes
+                costs += 128 + 8 * len(w)
+            # the index was cleared many times over
+            assert costs > 10 * self.CAP
+        finally:
+            reset_caches()
+
+    def test_zero_cap_keeps_index_empty(self):
+        words = self._words()[:300]
+        try:
+            reset_caches()
+            expected = _queries(words)
+            reset_caches(limit=0)
+            assert _queries(words) == expected
+            assert graph._index == {} and graph._index_bytes == 0
+        finally:
+            reset_caches()
 
 
 class TestLabelSymmetry:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from earring.words import (
     anchor,
+    anchor_index,
     anchor_length,
     check_word,
     concat,
@@ -161,10 +162,19 @@ class TestClosedForm:
         gap = anchor_length(j + 1) - anchor_length(j)
         assert gap == len(nth_word(j)) + 3 + len(nth_word(j + 1))
 
-    def test_graph_index_lengths(self):
-        from earring import graph
-        graph._extend_index(20_000)
-        assert graph._wlens == [len(nth_word(j)) for j in range(1, len(graph._wlens) + 1)]
+    def test_anchor_index_matches_scan(self):
+        # walk p upward, moving j past every anchor at or before p
+        j, top = 0, anchor_length(20_000)
+        for p in range(top + 1):
+            while anchor_length(j + 1) <= p:
+                j += 1
+            assert anchor_index(p) == j
+        assert j == 20_000
+
+    @pytest.mark.parametrize("j", FAR)
+    def test_far_anchor_index(self, j):
+        assert anchor_index(anchor_length(j)) == j
+        assert anchor_index(anchor_length(j) - 1) == j - 1
 
 
 class TestAnchor:
