@@ -4,6 +4,7 @@ lifting, membership in the core-free open subgroup of loops lifting to
 loops, and a numeric chart atlas certifying the local structure."""
 
 from .words import (
+    RayPrefix,
     Word,
     anchor,
     anchor_length,
@@ -26,10 +27,11 @@ from .graph import (
     island_data,
     island_of,
     neighbor,
+    ray_vertex,
     removal_cross_check,
     survives,
 )
-from .lifting import LiftTrace, endpoint, in_k, lift_word
+from .lifting import LiftTrace, endpoint, in_k, lift_ray_inverse, lift_word
 from .corefree import (
     ConjugationCertificate,
     core_free_scan,

@@ -9,11 +9,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
 from . import charts, corefree, graph, lifting, words
 from .words import format_word, parse_word
+
+# The longest vertex the CLI spells out, and the most steps `witness
+# --trace` prints.  A witness itself takes O(|w|) time and memory at any
+# index, so this bounds only the output: a longer vertex is printed in the
+# compact form `ray[p] <letters> ray[m]^-1`, the ray prefix R[:p], the
+# letters past it, and the inverse of a ray prefix R[:m].  The witness of
+# a_12 (j = 41,501,135) has vertices of 777,124,938 and 1,554,249,877
+# letters.
+MAX_LIFT_LETTERS = 2 ** 22
+
+# argparse takes a token that starts with '-' for an option unless it
+# reads as one negative number or holds a space; a comma word such as
+# -2,-1,-2 is passed on with a leading space, which parse_word strips
+_COMMA_WORD = re.compile(r"-\d+,[-\d,\s]*")
 
 
 def _emit(args, command, payload, status="ok", message=None):
@@ -37,6 +52,21 @@ def _emit(args, command, payload, status="ok", message=None):
 
 def _word_arg(tokens) -> tuple:
     return parse_word(" ".join(tokens))
+
+
+def _vertex_text(v, unwind: int = 0) -> str:
+    """The word v.word + R[:unwind]^{-1}, spelled out as format_word does,
+    or in the compact form when it has more than MAX_LIFT_LETTERS letters.
+    The ray runs are written as text directly, never as tuples."""
+    p = v.ray_len
+    if v.depth + unwind <= MAX_LIFT_LETTERS:
+        ray = " ".join(["1 2"] * (p // 2) + ["1"] * (p % 2))
+        back = " ".join(["-1"] * (unwind % 2) + ["-2 -1"] * (unwind // 2))
+    else:
+        ray = f"ray[{p}]" if p else ""
+        back = f"ray[{unwind}]^-1" if unwind else ""
+    tail = v.tail
+    return " ".join(part for part in (ray, tail and format_word(tail), back) if part) or "e"
 
 
 def _point_spec(spec: str):
@@ -139,7 +169,7 @@ def run(args) -> int:
                 "input": wtext,
                 "start": format_word(start.word),
                 "endpoint": format_word(trace.endpoint.word),
-                "steps": len(trace.steps),
+                "steps": len(trace.word),
             }
             if args.trace:
                 payload["trace"] = [
@@ -159,12 +189,18 @@ def run(args) -> int:
             except ValueError as exc:
                 _emit(args, cmd, {"input": wtext}, "error", str(exc))
                 return 1
+            steps = 2 * cert.beta.length + len(w)
+            if args.trace and steps > MAX_LIFT_LETTERS:
+                _emit(args, cmd, {"input": wtext}, "error",
+                      f"the lift of beta w beta^-1 has {steps} steps; --trace prints "
+                      f"at most {MAX_LIFT_LETTERS}")
+                return 1
             payload = {
                 "input": wtext,
                 "j": cert.j,
-                "beta_length": len(cert.beta),
-                "midpoint": format_word(cert.midpoint.word),
-                "endpoint": format_word(cert.conjugate_endpoint.word),
+                "beta_length": cert.beta.length,
+                "midpoint": _vertex_text(cert.midpoint),
+                "endpoint": _vertex_text(cert.turn, cert.unwind),
                 "verdict": cert.verdict,
             }
             if args.trace:
@@ -178,10 +214,10 @@ def run(args) -> int:
     if cmd == "zpath":
         data = graph.island_data(args.j)
         letters = sum(rec[0] for rec in data.path)
-        if letters > corefree.MAX_LIFT_LETTERS:
+        if letters > MAX_LIFT_LETTERS:
             _emit(args, cmd, {"input": str(args.j)}, "error",
                   f"the z_path of island {args.j} has {letters} letters, over the "
-                  f"limit of {corefree.MAX_LIFT_LETTERS}")
+                  f"limit of {MAX_LIFT_LETTERS}")
             return 1
         _emit(args, cmd, {
             "input": str(args.j),
@@ -224,7 +260,6 @@ def run(args) -> int:
             "skipped": report.skipped,
         }
         if report.refused:
-            # only a scan past the lift limit refuses words
             payload["refused"] = report.refused
         payload["failures"] = len(report.failures)
         payload["entries"] = entries if args.json else f"[{len(entries)} words]"
@@ -262,6 +297,8 @@ def run(args) -> int:
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    argv = [" " + a if _COMMA_WORD.fullmatch(a) else a for a in argv]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,73 +1,73 @@
 """Witness construction showing, at finite-word scale, that K contains no
 nontrivial normal subgroup: conjugating any essential word by the anchor
 of its enumeration index yields a word whose lift is not a loop.
+
+The anchor beta = a_1 a_2 a_1 ... uses only a_1 and a_2, so lifting beta
+and beta^{-1} is free reduction along the zig-zag ray: a witness lifts
+beta as one segment to the ray vertex of depth |beta|, lifts w letter by
+letter from there, and computes only the cancellation where beta^{-1}
+meets the end of that lift.  It takes time and memory O(|w|) at any
+index j; the letter-by-letter lift of beta . w . beta^{-1} is replayed
+only when `trace` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .graph import Vertex, base_vertex, island_data
-from .lifting import LiftTrace, in_k, lift_word
-from .words import (Word, anchor, anchor_length, check_word, format_word, index_of, invert,
-                    nth_word, reduce_word, weight)
+from .graph import Vertex, base_vertex, island_data, ray_vertex
+from .lifting import LiftTrace, endpoint, in_k, lift_ray_inverse, lift_word
+from .words import (RayPrefix, Word, anchor, anchor_length, check_word, format_word,
+                    index_of, invert, nth_word, reduce_word, weight)
 
 
 @dataclass(frozen=True)
 class ConjugationCertificate:
     word: Word                  # the essential input word
     j: int                      # its enumeration index
-    beta: Word                  # the conjugator (the anchor of index j)
-    midpoint: Vertex            # lift position after beta
-    conjugate_endpoint: Vertex  # lift endpoint of beta · word · beta^{-1}
+    beta: RayPrefix             # the conjugator (the anchor of index j)
+    midpoint: Vertex            # lift position after beta: the ray vertex R[:|beta|]
+    turn: Vertex                # the lift of beta . word . beta^{-1} ends at
+    unwind: int                 # turn.word + R[:unwind]^{-1}
     verdict: bool               # endpoint differs from the base point
-    trace: LiftTrace
 
+    @cached_property
+    def conjugate_endpoint(self) -> Vertex:
+        """Lift endpoint of beta . word . beta^{-1}; made on first read, in
+        `unwind` steps from `turn`."""
+        return endpoint(invert(self.beta[:self.unwind]), start=self.turn)
 
-# Longest conjugate beta · w · beta^{-1} that witness_conjugator lifts.  A
-# lift keeps about 500 bytes per letter (the 439,685 letters of the index
-# 17,255 witness add 210 MB, for a peak near 256 MB), so this bounds a
-# witness near 2 GB.
-MAX_LIFT_LETTERS = 2 ** 22
-
-
-def _oversize(j: int, w: Word) -> Optional[str]:
-    """Why the lift of beta · w · beta^{-1}, with beta = anchor(j), is
-    refused, or None when it has at most MAX_LIFT_LETTERS letters."""
-    beta_len = anchor_length(j)
-    if 2 * beta_len + len(w) <= MAX_LIFT_LETTERS:
-        return None
-    return (f"the conjugator of index {j} has |beta| = {beta_len} letters, so the lift "
-            f"of beta w beta^-1 would take {2 * beta_len + len(w)} steps, over the "
-            f"limit of {MAX_LIFT_LETTERS}")
+    @cached_property
+    def trace(self) -> LiftTrace:
+        """The lift of the spelled beta . word . beta^{-1} from the base
+        point; its steps replay the lift letter by letter."""
+        beta = anchor(self.j)
+        return LiftTrace(base_vertex(), beta + self.word + invert(beta),
+                         self.conjugate_endpoint)
 
 
 def witness_conjugator(w: Word) -> ConjugationCertificate:
-    """For an essential word w, lift beta · w · beta^{-1} from the base
+    """For an essential word w, lift beta . w . beta^{-1} from the base
     point with beta = anchor(index_of(w)) and certify the endpoint is
-    not the base point.  Raises ValueError, before spelling beta, when
-    that word is longer than MAX_LIFT_LETTERS."""
+    not the base point: it is exactly when the lift of w from the ray
+    vertex R[:|beta|] ends elsewhere."""
     w = check_word(w)
     if not reduce_word(w):
         raise ValueError("word reduces to the empty word; nothing to certify")
     j = index_of(w)
-    refusal = _oversize(j, w)
-    if refusal:
-        raise ValueError(refusal)
-    beta = anchor(j)
-    gamma = beta + w + invert(beta)
-    trace = lift_word(gamma)
-    midpoint = trace.steps[len(beta) - 1].at
-    end = trace.endpoint
+    n = anchor_length(j)
+    mid = ray_vertex(n)
+    turn, unwind = lift_ray_inverse(lift_word(w, start=mid).endpoint, n)
     return ConjugationCertificate(
         word=w,
         j=j,
-        beta=beta,
-        midpoint=midpoint,
-        conjugate_endpoint=end,
-        verdict=end != base_vertex(),
-        trace=trace,
+        beta=RayPrefix(n),
+        midpoint=mid,
+        turn=turn,
+        unwind=unwind,
+        verdict=bool(unwind or turn.depth),
     )
 
 
@@ -120,7 +120,7 @@ class ScanReport:
     checked: int
     skipped: int
     failures: tuple
-    refused: int     # essential words whose lift is over MAX_LIFT_LETTERS
+    refused: int = 0  # no witness is refused; kept for readers of the report
 
     @property
     def ok(self) -> bool:
@@ -130,15 +130,13 @@ class ScanReport:
 def core_free_scan(max_weight: int) -> ScanReport:
     """Run the witness construction over every essential word of weight
     at most max_weight; report per-word K-membership and any verdict
-    failures (expected: none).  A word whose witness lift would be longer
-    than MAX_LIFT_LETTERS is refused: its entry has verdict None."""
+    failures (expected: none)."""
     if max_weight < 2:
         raise ValueError("max_weight must be >= 2")
     entries = []
     failures = []
     checked = 0
     skipped = 0
-    refused = 0
     j = 1
     while True:
         w = nth_word(j)
@@ -147,9 +145,6 @@ def core_free_scan(max_weight: int) -> ScanReport:
         if not reduce_word(w):
             skipped += 1
             entries.append(ScanEntry(j, w, False, None, None))
-        elif _oversize(j, w):
-            refused += 1
-            entries.append(ScanEntry(j, w, True, in_k(w), None))
         else:
             cert = witness_conjugator(w)
             checked += 1
@@ -158,4 +153,4 @@ def core_free_scan(max_weight: int) -> ScanReport:
             if not cert.verdict:
                 failures.append((j, format_word(w)))
         j += 1
-    return ScanReport(max_weight, tuple(entries), checked, skipped, tuple(failures), refused)
+    return ScanReport(max_weight, tuple(entries), checked, skipped, tuple(failures))

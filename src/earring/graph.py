@@ -8,45 +8,35 @@ answered from the word alone.
 
 from __future__ import annotations
 
+import operator
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count, cycle
 from typing import NamedTuple, Optional
 
 from .caching import cache_limit, on_reset
 from .words import (
     Word,
+    _ray_letter,
     anchor_index,
     anchor_length,
     check_word,
     invert,
     is_reduced,
     nth_word,
+    ray_run,
     reduce_word,
     word_length,
     zigzag_prefix,
 )
 
 
-def _ray_letter(p: int) -> int:
-    return 1 if p % 2 == 0 else 2
-
-
 def ray_agreement(w: Word) -> int:
     """Length of the longest common prefix of w with the infinite
-    zig-zag ray a_1 a_2 a_1 a_2 ..."""
-    n = len(w)
-    ray = zigzag_prefix(n)
-    if w == ray:
-        return n
-    # bisect for the first mismatch; slice compares run at C speed
-    lo, hi = 0, n  # w[:lo] matches, w[:hi] does not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if w[:mid] == ray[:mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    zig-zag ray a_1 a_2 a_1 a_2 ...: the position of the first letter
+    that differs from the ray's, found by C-level iterators."""
+    return next(compress(count(), map(operator.ne, w, cycle((1, 2)))), len(w))
 
 
 # --- island data -----------------------------------------------------------
@@ -120,7 +110,7 @@ def island_data(j: int) -> IslandData:
     base = min(rec[1] for rec in path)
 
     def rest(rec):
-        return tuple(map(_ray_letter, range(base, rec[1]))) + rec[2]
+        return ray_run(base, rec[1]) + rec[2]
 
     records = tuple(sorted(set(path), key=rest))
     data = IslandData(j, wj, level, path[0][0], tuple(path), records,
@@ -308,9 +298,11 @@ def _descend(v: Word) -> Optional["Vertex"]:
     s, so the step a_k (k outside {1,2,s}) never cancels and u . a_k is a
     literal prefix of v.  Hence v survives exactly when each of its letters
     is a tree label at the prefix before it, which is the rule
-    `Vertex.step` applies."""
-    node = _root
-    for x in v:
+    `Vertex.step` applies.  The letters of v's ray agreement are a_1 and
+    a_2, tree labels everywhere, so that prefix is taken in one step."""
+    p = ray_agreement(v)
+    node = _ray(p)
+    for x in v[p:]:
         if x not in _LOW_LETTERS and abs(x) not in node.e_set:
             return None
         kids = node._children
@@ -385,7 +377,10 @@ class Vertex:
     costs O(1) and never copies the word; `word` is spelled out only when
     asked for.  The island is located on the first read of `e_set` or
     `hit`, and a step by a_1^{+-1} or a_2^{+-1} never reads them, since
-    {1, 2} is in every vertex's e_set."""
+    {1, 2} is in every vertex's e_set.
+
+    The vertices R[:n] of the zig-zag ray are made by `ray_vertex`, at any
+    depth in O(1); a node off the ray hangs below its parent."""
 
     __slots__ = ("parent", "letter", "depth", "ray_len", "run", "run_start",
                  "_hit", "_e_set", "_children")
@@ -400,16 +395,17 @@ class Vertex:
             self.run_start = None
             self._e_set = _labels(None)
         else:
-            n = parent.depth
-            p = parent.ray_len
-            self.depth = n + 1
-            self.ray_len = p + 1 if p == n and letter == _ray_letter(n) else p
+            # a child made here leaves the ray or is already off it
+            self.depth = parent.depth + 1
+            self.ray_len = parent.ray_len
             if letter == parent.letter:
                 self.run = parent.run + 1
                 self.run_start = parent.run_start
             else:
                 self.run = 1
-                self.run_start = parent
+                # the vertex before the final run, kept only off the ray:
+                # the letters it spells for _locate start at ray_len
+                self.run_start = parent if parent.depth > parent.ray_len else None
             self._e_set = None
 
     def _classify(self) -> frozenset:
@@ -418,7 +414,7 @@ class Vertex:
         at most once per node."""
         start, p = self.run_start, self.ray_len
         self._hit = hit = _locate(self.depth, p, self.run, self.letter,
-                                  lambda: _letters(start, p))
+                                  lambda: _letters(start, p) if start is not None else ())
         self._e_set = labels = _labels(hit)
         return labels
 
@@ -429,8 +425,13 @@ class Vertex:
         return labels if labels is not None else self._classify()
 
     @property
+    def tail(self) -> Word:
+        """The letters of the word past its ray agreement."""
+        return _letters(self, self.ray_len)
+
+    @property
     def word(self) -> Word:
-        return zigzag_prefix(self.ray_len) + _letters(self, self.ray_len)
+        return zigzag_prefix(self.ray_len) + self.tail
 
     @property
     def _compact_hit(self) -> Optional[tuple]:
@@ -458,7 +459,12 @@ class Vertex:
             kids = self._children = {}
         node = kids.get(letter)
         if node is None:
-            node = kids[letter] = Vertex(self, letter)
+            n = self.depth
+            if self.ray_len == n and letter == _ray_letter(n):
+                node = _ray(n + 1, self)
+            else:
+                node = Vertex(self, letter)
+            kids[letter] = node
         return node
 
     def step(self, letter: int):
@@ -475,12 +481,13 @@ class Vertex:
             return True
         if not isinstance(other, Vertex):
             return False
-        if self.depth != other.depth or self.ray_len != other.ray_len:
+        p = self.ray_len
+        if self.depth != other.depth or p != other.ray_len:
             return False
-        # walk up in step until the paths meet; a node of a trie dropped
-        # by reset_caches meets the current ones at the root
+        # walk up in step until the paths meet or both reach R[:p]; a node
+        # of a trie dropped by reset_caches meets the current ones there
         a, b = self, other
-        while a is not b:
+        while a is not b and a.depth > p:
             if a.letter != b.letter:
                 return False
             a, b = a.parent, b.parent
@@ -494,6 +501,56 @@ class Vertex:
         return f"Vertex({format_word(self.word)})"
 
 
+# the parent slot, which a ray vertex fills on first read
+_PARENT = Vertex.parent
+
+
+class _RayVertex(Vertex):
+    """The vertex R[:depth] of the zig-zag ray, made without its parent."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init__(self, depth: int, parent: Optional[Vertex] = None):
+        _PARENT.__set__(self, parent)
+        self.letter = _ray_letter(depth - 1)
+        self.depth = self.ray_len = depth
+        self.run = 1
+        self.run_start = self._hit = self._e_set = self._children = None
+
+    @property
+    def parent(self) -> Vertex:
+        node = _PARENT.__get__(self)
+        if node is None:
+            node = _ray(self.depth - 1)
+            _PARENT.__set__(self, node)
+        return node
+
+
+# depth -> the live ray vertex of that depth.  Weak, so that a witness's
+# ray vertex and what hangs below it go when the certificate goes; a ray
+# vertex on a path from the base point is kept by its parent's children.
+_rays = weakref.WeakValueDictionary()
+
+
+def _ray(depth: int, parent: Optional[Vertex] = None) -> Vertex:
+    """The vertex R[:depth]; parent, when given, is R[:depth - 1].  The
+    one constructor of ray vertices, so a ray word has one live vertex."""
+    if depth == 0:
+        return _root
+    node = _rays.get(depth)
+    if node is None:
+        node = _rays[depth] = _RayVertex(depth, parent)
+    return node
+
+
+def ray_vertex(n: int) -> Vertex:
+    """The vertex R[:n] = a_1 a_2 a_1 ... of the zig-zag ray, in O(1): its
+    letters are a_1 and a_2, tree labels everywhere, so it survives."""
+    if n < 0:
+        raise ValueError("a ray vertex has a depth >= 0")
+    return _ray(n)
+
+
 _root = Vertex()
 
 
@@ -501,6 +558,7 @@ _root = Vertex()
 def _drop_caches() -> None:
     global _index_bytes
     _root._children = None
+    _rays.clear()
     _index.clear()
     _index_bytes = 0
     _islands.clear()

@@ -7,16 +7,19 @@ lift is the deterministic fold of that step rule.  A step neither copies
 nor hashes the vertex word, so a lift is linear in the word's length.
 Labels 1 and 2 are tree labels at every vertex, so a step by a_1^{+-1} or
 a_2^{+-1} is plain free reduction; only a step by a higher letter makes
-the current vertex locate its island, once.
+the current vertex locate its island, once.  The same fact lets a run of
+the zig-zag ray, or of its inverse, be lifted as one segment: see
+`lift_ray_inverse`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .graph import Vertex, base_vertex
-from .words import Word, check_word
+from .graph import Vertex, base_vertex, ray_vertex
+from .words import Word, _ray_letter, check_word
 
 
 class LiftStep(NamedTuple):
@@ -25,41 +28,72 @@ class LiftStep(NamedTuple):
     at: Vertex       # position after the step
 
 
+def _fold(w: Word, cur: Vertex, record=None) -> Vertex:
+    """The endpoint of the lift of w from cur, one step per letter; each
+    step is passed to record as a LiftStep when it is given."""
+    for letter in w:
+        kind, cur = cur.step(letter)
+        if record is not None:
+            record(LiftStep(letter, kind, cur))
+    return cur
+
+
 @dataclass(frozen=True)
 class LiftTrace:
-    start: Vertex
-    steps: tuple     # of LiftStep, one per input letter
+    """The lift of `word` from `start`.  The per-letter steps are made
+    only when `steps` is read, by replaying the lift with the same step
+    rule."""
 
-    @property
-    def endpoint(self) -> Vertex:
-        return self.steps[-1].at if self.steps else self.start
+    start: Vertex
+    word: Word
+    endpoint: Vertex
+
+    @cached_property
+    def steps(self) -> tuple:
+        """One LiftStep per letter of the word."""
+        out: list = []
+        _fold(self.word, self.start, out.append)
+        return tuple(out)
 
     def projection(self) -> Word:
-        """Read the traversed labels back off; equals the input word."""
-        return tuple(s.letter for s in self.steps)
+        """The traversed labels; equals the input word."""
+        return self.word
 
 
 def lift_word(w: Word, start: Optional[Vertex] = None) -> LiftTrace:
     """The unique lift of the edge-word w from the given start vertex."""
     w = check_word(w)
     origin = start if start is not None else base_vertex()
-    cur = origin
-    steps = []
-    for letter in w:
-        kind, cur = cur.step(letter)
-        steps.append(LiftStep(letter, kind, cur))
-    return LiftTrace(origin, tuple(steps))
+    return LiftTrace(origin, w, _fold(w, origin))
 
 
 def endpoint(w: Word, start: Optional[Vertex] = None) -> Vertex:
     """Final vertex of the lift of w."""
-    w = check_word(w)
-    cur = start if start is not None else base_vertex()
-    for letter in w:
-        _, cur = cur.step(letter)
-    return cur
+    return _fold(check_word(w), start if start is not None else base_vertex())
 
 
 def in_k(w: Word) -> bool:
     """True iff the lift of w from the base point ends at the base point."""
     return endpoint(w) == base_vertex()
+
+
+def lift_ray_inverse(v: Vertex, n: int) -> tuple:
+    """The lift of R[:n]^{-1} from v, R = a_1 a_2 a_1 ... the zig-zag ray,
+    as (u, m): it ends at the vertex whose word is u.word + R[:m]^{-1},
+    the free reduction of v.word + R[:n]^{-1}.  Every letter is a tree
+    step, so only the cancellation is computed: letter by letter through
+    v's letters past its ray agreement, then in one step along the ray.
+    Making that end vertex takes m more steps; see `endpoint`."""
+    k = 0  # letters of R[:n]^{-1} cancelled so far
+    while k < n and v.depth > v.ray_len:
+        if v.letter != _ray_letter(n - 1 - k):
+            return v, n - k
+        v = v.parent
+        k += 1
+    # v = R[:q] ends in R[q-1], which cancels R[n-1-k]^{-1} exactly when
+    # q and n - k have the same parity; then so do the letters before both
+    q = v.depth
+    if k < n and (q - n + k) % 2 == 0:
+        c = min(q, n - k)
+        return ray_vertex(q - c), n - k - c
+    return v, n - k

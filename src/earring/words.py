@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
+from collections.abc import Sequence
 
 Letter = int
 Word = tuple  # tuple[int, ...]
@@ -224,16 +225,69 @@ def anchor_index(p: int) -> int:
     return _firsts[k] + min(r, _firsts[k + 1] - _firsts[k] - 1) + 1
 
 
-_zigzag: tuple = ()
+def _ray_letter(p: int) -> Letter:
+    """Letter p of the zig-zag ray: a_1 at even p, a_2 at odd p."""
+    return 1 if p % 2 == 0 else 2
+
+
+def ray_run(start: int, stop: int) -> Word:
+    """Letters start..stop-1 of the zig-zag ray."""
+    n = max(0, stop - start)
+    head = _ray_letter(start)
+    return (head, 3 - head) * (n // 2) + (head,) * (n % 2)
 
 
 def zigzag_prefix(n: int) -> Word:
     """The first n letters of the infinite ray a_1 a_2 a_1 a_2 ..."""
-    global _zigzag
-    if len(_zigzag) < n:
-        m = max(n, 2 * len(_zigzag), 64)
-        _zigzag = tuple(1 if p % 2 == 0 else 2 for p in range(m))
-    return _zigzag[:n]
+    return ray_run(0, n)
+
+
+class RayPrefix(Sequence):
+    """The ray prefix R[:n] = a_1 a_2 a_1 ... of length n, kept as its
+    length: indexing and slicing spell only the letters asked for, and it
+    equals the spelled tuple."""
+
+    __slots__ = ("length",)
+
+    def __init__(self, n: int):
+        if n < 0:
+            raise ValueError("a ray prefix has a length >= 0")
+        self.length = n
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(self.length)
+            if step == 1:
+                return ray_run(start, stop)
+            return tuple(map(_ray_letter, range(start, stop, step)))
+        p = operator.index(i)
+        if p < 0:
+            p += self.length
+        if not 0 <= p < self.length:
+            raise IndexError("ray prefix index out of range")
+        return _ray_letter(p)
+
+    def __iter__(self):
+        return iter(zigzag_prefix(self.length))
+
+    def __eq__(self, other):
+        if isinstance(other, RayPrefix):
+            return self.length == other.length
+        if isinstance(other, tuple):
+            return len(other) == self.length and other == zigzag_prefix(self.length)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(zigzag_prefix(self.length))
+
+    def __add__(self, other):
+        return zigzag_prefix(self.length) + tuple(other)
+
+    def __repr__(self):
+        return f"RayPrefix({self.length})"
 
 
 def anchor(j: int) -> Word:

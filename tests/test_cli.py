@@ -169,16 +169,49 @@ class TestWitness:
             assert err == "witness: error: out of memory\n"
 
     @pytest.mark.parametrize("json_flag", [True, False])
-    def test_too_long_lift_is_refused_quickly(self, capsys, json_flag):
+    def test_long_conjugator_answers_quickly(self, capsys, json_flag):
         # a_12 has index 41,501,135 and an anchor of 777,124,938 letters
         argv = ["--json"] if json_flag else []
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, *argv, "witness", "12")
         assert time.perf_counter() - t0 < 1
-        assert code == 1
-        assert "|beta| = 777124938" in out + err
+        assert code == 0 and err == ""
+        ray = "ray[777124938]"
         if json_flag:
-            assert json.loads(out)["status"] == "error"
+            obj = json.loads(out)
+            assert obj["status"] == "ok"
+            assert obj["output"] == {"j": 41501135, "beta_length": 777124938,
+                                     "midpoint": ray, "endpoint": f"{ray} 12 {ray}^-1",
+                                     "verdict": True}
+        else:
+            assert out == (f"witness 12: j=41501135 beta_length=777124938 midpoint={ray} "
+                           f"endpoint={ray} 12 {ray}^-1 verdict=True\n")
+
+    def test_compact_form_past_the_spelling_bound(self, capsys, monkeypatch):
+        from earring import cli, corefree
+        _, spelled = run_json(capsys, "witness", "3")
+        before = corefree.witness_conjugator((3,))
+        monkeypatch.setattr(cli, "MAX_LIFT_LETTERS", 100)
+        code, obj = run_json(capsys, "witness", "3")
+        assert code == 0
+        # the 52-letter midpoint is spelled, the 105-letter endpoint is not
+        assert obj["output"] == dict(spelled["output"], endpoint="ray[52] 3 ray[52]^-1")
+        after = corefree.witness_conjugator((3,))
+        assert (after.j, after.beta, after.midpoint, after.turn, after.unwind, after.verdict) \
+            == (before.j, before.beta, before.midpoint, before.turn, before.unwind,
+                before.verdict)
+        assert after.conjugate_endpoint.word == before.conjugate_endpoint.word
+        code, out, _ = run_cli(capsys, "witness", "2,1,-1")
+        assert code == 0
+        assert out == ("witness 2 1 -1: j=78 beta_length=595 midpoint=ray[595] "
+                       "endpoint=ray[596] ray[595]^-1 verdict=True\n")
+
+    def test_trace_past_the_spelling_bound_is_refused(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "witness", "--trace", "12")
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert "has 1554249877 steps" in out + err
 
     def test_trace_included_in_json(self, capsys):
         code, obj = run_json(capsys, "witness", "--trace", "3")
@@ -200,19 +233,60 @@ class TestScan:
         code, out, err = run_cli(capsys, "scan", "--max-weight", "1")
         assert code == 1
 
-    def test_refused_words_are_counted(self, capsys, monkeypatch):
-        from earring import corefree
+    def test_no_word_is_refused(self, capsys, monkeypatch):
+        from earring import cli
+        expected = "scan 4: checked=26 skipped=4 failures=0 entries=[30 words]\n"
         code, out, _ = run_cli(capsys, "scan", "--max-weight", "4")
-        assert code == 0
-        assert out == "scan 4: checked=26 skipped=4 failures=0 entries=[30 words]\n"
-        # the first 8 words have |beta w beta^-1| <= 100
-        monkeypatch.setattr(corefree, "MAX_LIFT_LETTERS", 100)
+        assert (code, out) == (0, expected)
+        # past the first 8 words, |beta w beta^-1| > 100
+        monkeypatch.setattr(cli, "MAX_LIFT_LETTERS", 100)
         code, out, _ = run_cli(capsys, "scan", "--max-weight", "4")
-        assert code == 0
-        assert out == "scan 4: checked=6 skipped=4 refused=20 failures=0 entries=[30 words]\n"
+        assert (code, out) == (0, expected)
         code, obj = run_json(capsys, "scan", "--max-weight", "4")
-        assert obj["output"]["refused"] == 20
-        assert [e["verdict"] for e in obj["output"]["entries"][8:]] == [None] * 22
+        assert "refused" not in obj["output"]
+        essential = [e["verdict"] for e in obj["output"]["entries"] if e["essential"]]
+        assert essential == [True] * 26
+
+
+class TestLeadingMinusCommaWords:
+    """A comma word whose first letter is an inverse, such as -2,-1,-2,
+    is a word and not an option, for every word subcommand."""
+
+    def test_survives(self, capsys):
+        code, obj = run_json(capsys, "survives", "-1,-2")
+        assert code == 0
+        assert obj["input"] == "-1 -2" and obj["output"]["verdict"] is True
+
+    def test_island(self, capsys):
+        code, out, _ = run_cli(capsys, "island", "-2,-1,-2")
+        assert (code, out) == (0, "island -2 -1 -2: island=None\n")
+
+    def test_ev(self, capsys):
+        code, obj = run_json(capsys, "ev", "-1,-2")
+        assert code == 0
+        assert obj["output"]["e_set"] == [1, 2]
+
+    def test_lift(self, capsys):
+        code, obj = run_json(capsys, "lift", "--start", "1,2", "-1,3")
+        assert code == 0
+        assert obj["input"] == "-1 3"
+        assert obj["output"]["endpoint"] == "1 2 -1"
+        code, obj = run_json(capsys, "lift", "--start", "-1,2", "1")
+        assert code == 0
+        assert obj["output"]["start"] == "-1 2"
+
+    def test_in_k(self, capsys):
+        code, out, _ = run_cli(capsys, "in-k", "-3,1,-1")
+        assert (code, out) == (0, "in-k -3 1 -1: verdict=True\n")
+
+    def test_witness(self, capsys):
+        # w_100 = a_2^-1 a_1^-1 a_2^-1
+        code, obj = run_json(capsys, "witness", "-2,-1,-2")
+        assert code == 0
+        assert obj["input"] == "-2 -1 -2"
+        assert obj["output"]["j"] == 100 and obj["output"]["verdict"] is True
+        _, spaced = run_json(capsys, "witness", "-2", "-1", "-2")
+        assert spaced == obj
 
 
 class TestPoints:

@@ -1,9 +1,17 @@
+import time
+
 import pytest
 
+from earring.caching import reset_caches
 from earring.corefree import core_free_scan, midpoint_structure_check, witness_conjugator
 from earring.graph import base_vertex
 from earring.lifting import in_k
-from earring.words import anchor, anchor_length, invert, reduce_word
+from earring.words import anchor, anchor_length, invert, nth_word, reduce_word, zigzag_prefix
+
+
+def _fields(cert):
+    return (cert.word, cert.j, cert.beta, cert.midpoint.word, cert.verdict,
+            cert.conjugate_endpoint.word)
 
 
 class TestWitnessConjugator:
@@ -26,15 +34,34 @@ class TestWitnessConjugator:
         assert cert.verdict
         assert cert.word == (2, 1, -1)
 
-    def test_lift_length_bound(self, monkeypatch):
-        # |beta w beta^-1| = 2 anchor_length(9) + 1 for w = a_3, j = 9
-        from earring import corefree
-        n = 2 * anchor_length(9) + 1
-        monkeypatch.setattr(corefree, "MAX_LIFT_LETTERS", n)
-        assert witness_conjugator((3,)).verdict
-        monkeypatch.setattr(corefree, "MAX_LIFT_LETTERS", n - 1)
-        with pytest.raises(ValueError, match=f"beta. = {anchor_length(9)} "):
-            witness_conjugator((3,))
+    def test_spelling_bound_leaves_the_certificate(self, monkeypatch):
+        # MAX_LIFT_LETTERS bounds only what the CLI spells; the conjugate
+        # of a_3 has 2 anchor_length(9) + 1 = 105 letters
+        from earring import cli
+        before = _fields(witness_conjugator((3,)))
+        monkeypatch.setattr(cli, "MAX_LIFT_LETTERS", 100)
+        assert _fields(witness_conjugator((3,))) == before
+
+    @pytest.mark.parametrize("w", [(12,), (40,), nth_word(10 ** 100)])
+    def test_far_indices_answer_quickly(self, w):
+        t0 = time.perf_counter()
+        cert = witness_conjugator(w)
+        assert cert.verdict is True
+        assert cert.midpoint.depth == cert.midpoint.ray_len == cert.beta.length
+        assert cert.beta.length == anchor_length(cert.j)
+        assert cert.beta[:5] == (1, 2, 1, 2, 1)
+        assert cert.turn.depth <= cert.beta.length + len(w)
+        assert time.perf_counter() - t0 < 1
+
+    def test_beta_is_a_lazy_ray_prefix(self):
+        cert = witness_conjugator((12,))
+        assert len(cert.beta) == 777_124_938
+        assert cert.beta[-3:] == (2, 1, 2)
+        assert cert.beta[1] == 2 and cert.beta[777_124_936] == 1
+        small = witness_conjugator((3,)).beta
+        assert small == anchor(9) and anchor(9) == small
+        assert small != anchor(9)[:-1] and small != anchor(8)
+        assert tuple(small) == zigzag_prefix(52) and small[::2] == (1,) * 26
 
     def test_null_word_rejected(self):
         with pytest.raises(ValueError):
@@ -100,20 +127,55 @@ class TestScan:
         with pytest.raises(ValueError):
             core_free_scan(1)
 
-    def test_words_over_the_lift_limit_are_refused(self, monkeypatch):
-        from earring import corefree
-        full = core_free_scan(4)
-        assert full.refused == 0
-        monkeypatch.setattr(corefree, "MAX_LIFT_LETTERS", 100)
+    def test_no_word_is_refused(self):
         report = core_free_scan(4)
-        refused = [e for e in report.entries
-                   if e.essential and 2 * anchor_length(e.j) + len(e.word) > 100]
-        assert refused and refused[0].j == 9
-        assert report.refused == len(refused)
-        assert report.checked == full.checked - len(refused)
-        assert report.skipped == full.skipped
-        assert report.ok
-        for entry, before in zip(report.entries, full.entries):
-            assert (entry.j, entry.word, entry.essential, entry.in_k) == \
-                (before.j, before.word, before.essential, before.in_k)
-            assert entry.verdict is (None if entry in refused else before.verdict)
+        assert report.refused == 0
+        assert report.checked == 26 and report.skipped == 4
+        assert all(e.verdict is True for e in report.entries if e.essential)
+
+
+def _twin(w, j):
+    """The definitional lift: beta . w . beta^-1 spelled, lifted from the
+    base point one letter at a time; returns |beta| and the steps."""
+    beta = anchor(j)
+    v = base_vertex()
+    steps = []
+    for letter in beta + w + invert(beta):
+        kind, v = v.step(letter)
+        steps.append((letter, kind, v))
+    return len(beta), steps
+
+
+class TestDefinitionalTwin:
+    """The segment lift of a witness against the letter-by-letter lift of
+    the spelled conjugate, for every essential j <= 300."""
+
+    def test_every_essential_word_to_300(self):
+        # words are spelled at every step up to j = 60; past it a step is
+        # compared by vertex ==, which is structural (equal words), since
+        # spelling all of them would read about 3 * 10^8 letters
+        checked = 0
+        try:
+            for j in range(1, 301):
+                w = nth_word(j)
+                if not reduce_word(w):
+                    continue
+                cert = witness_conjugator(w)
+                n, steps = _twin(w, j)
+                end = steps[-1][2]
+                assert cert.verdict == (end != base_vertex())
+                assert cert.midpoint.word == steps[n - 1][2].word
+                assert cert.conjugate_endpoint.word == end.word
+                replay = cert.trace.steps
+                assert len(replay) == len(steps)
+                for step, (letter, kind, at) in zip(replay, steps):
+                    assert (step.letter, step.kind) == (letter, kind)
+                    assert step.at == at
+                    if j <= 60:
+                        assert step.at.word == at.word
+                checked += 1
+                # the twin's lift keeps about 2|beta| trie vertices
+                reset_caches()
+        finally:
+            reset_caches()
+        assert checked == 286

@@ -1,7 +1,9 @@
 """Trie vertices against the word-level oracles, over exhaustive bounded
 domains, and the memory a long lift takes."""
 
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -14,10 +16,11 @@ from earring.graph import (
     e_set,
     island_data,
     ray_agreement,
+    ray_vertex,
     survives,
 )
 from earring.lifting import lift_word
-from earring.words import anchor, index_of, invert, nth_word, reduce_word
+from earring.words import anchor, anchor_length, index_of, invert, nth_word, reduce_word
 
 
 def _check_vertex(v, w):
@@ -131,6 +134,47 @@ class TestTrieAgainstWords:
         assert Vertex.make(v.word) == v
         assert v.step(-3)[1] == Vertex.make(anchor(9) + (3,))
         assert base_vertex() == Vertex.make(())
+
+
+class TestRayVertices:
+    """A ray vertex is made at any depth in O(1), its parent only when
+    read, and a ray word has one live vertex however it is reached."""
+
+    def test_one_vertex_per_ray_word(self):
+        from earring import graph
+        reset_caches()
+        n = anchor_length(1000)
+        v = Vertex.make(anchor(1000))
+        assert v is ray_vertex(n)
+        # made without walking the anchor: no parent yet, nothing at the root
+        assert graph._PARENT.__get__(v) is None
+        assert graph._root._children is None
+        assert lift_word(anchor(1000)).endpoint is v
+        assert v.parent is Vertex.make(anchor(1000)[:-1])
+        assert v.step(-v.letter)[1] is v.parent
+        assert v.step(1 if n % 2 == 0 else 2)[1] is ray_vertex(n + 1)
+        assert Vertex.make(anchor(1000) + (-1,)).parent is v
+
+    def test_far_ray_vertex(self):
+        n = 10 ** 50 + 1
+        v = ray_vertex(n)
+        assert (v.depth, v.ray_len, v.letter) == (n, n, 1)
+        assert v.parent.parent.depth == n - 2 and v.parent.letter == 2
+        assert v == ray_vertex(n) and v != ray_vertex(n - 1)
+        with pytest.raises(ValueError):
+            ray_vertex(-1)
+
+    def test_witness_leaves_nothing_behind(self):
+        from earring import graph
+        reset_caches()
+        cert = witness_conjugator(nth_word(1000))
+        assert cert.verdict is True
+        mid = weakref.ref(cert.midpoint)
+        del cert
+        gc.collect()
+        assert mid() is None
+        assert graph._root._children is None
+        assert len(graph._rays) == 0
 
 
 class TestLazyClassification:
