@@ -1,17 +1,25 @@
 """Single command-line entry point for all oracles and scans.
 
-Output is one line of text per invocation, or one JSON object with
+    earring [--json] COMMAND ARGS...
+
+`earring --help` lists the commands and `earring COMMAND --help` shows
+one.  Output is one line of text per invocation, or one JSON object with
 ``--json``.  Exit codes: 0 ok, 1 usage or precondition error, 2 a scan
 found a property violation.
+
+Every command is one entry of COMMANDS, which holds its help line, its
+arguments, its options and its handler; the parser and the help text are
+read from it.  After the command, an option is `--name value`,
+`--name=value` or a bare flag, anywhere among the arguments and spelled
+in full, and `--` ends the options.  Every other token is an argument,
+so a word such as -2,-1,-2 or -2 -1 -2 is read as a word.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
-from typing import Optional
+from types import SimpleNamespace
 
 from . import charts, corefree, graph, lifting, words
 from .words import format_word, parse_word
@@ -25,20 +33,119 @@ from .words import format_word, parse_word
 # letters.
 MAX_LIFT_LETTERS = 2 ** 22
 
-# argparse takes a token that starts with '-' for an option unless it
-# reads as one negative number or holds a space; a comma word such as
-# -2,-1,-2 is passed on with a leading space, which parse_word strips
-_COMMA_WORD = re.compile(r"-\d+,[-\d,\s]*")
+# name -> (help line, arguments, options, handler), in help order
+COMMANDS: dict = {}
+# the argument of the word commands: one or more tokens, which the handler
+# gets joined and read by parse_word
+WORD = ("word", None)
 
 
-def _emit(args, command, payload, status="ok", message=None):
+def command(name: str, help_line: str, *arguments, **options):
+    """Enter the decorated handler in COMMANDS.  An argument is WORD or a
+    (name, type) pair.  An option's default gives its kind: False for a
+    flag, an int or a str for a value of that type, and a type for a value
+    of that type that must be given.  A handler returns the exit code, or
+    None for 0."""
+    def enter(handler):
+        COMMANDS[name] = (help_line, arguments, options, handler)
+        return handler
+    return enter
+
+
+class _Usage(Exception):
+    """A command line the table does not accept, as (command or None,
+    message); the message is None for -h or --help."""
+
+
+def _synopsis(name: str | None) -> str:
+    """The arguments of one command, or of the program, as usage shows them."""
+    if name is None:
+        return "COMMAND ARGS..."
+    _, arguments, options, _ = COMMANDS[name]
+    parts = [name]
+    for key, default in options.items():
+        opt = "--" + key.replace("_", "-") + ("" if default is False else " " + key.upper())
+        parts.append(opt if isinstance(default, type) else f"[{opt}]")
+    return " ".join(parts + ["WORD..." if arg is WORD else arg[0].upper() for arg in arguments])
+
+
+def _usage(name: str | None) -> str:
+    return f"usage: earring [--json] {_synopsis(name)}"
+
+
+def _help(name: str | None) -> str:
+    if name is not None:
+        return f"{_usage(name)}\n\n{COMMANDS[name][0]}"
+    rows = [(_synopsis(n), COMMANDS[n][0]) for n in COMMANDS]
+    rows += [("", ""), ("--json", "emit one JSON object"), ("-h, --help", "show this help")]
+    width = max(len(left) for left, _ in rows)
+    return "\n".join([_usage(None), "", "commands:"]
+                     + [f"  {left:{width}}  {right}".rstrip() for left, right in rows]
+                     + ["", "A WORD is signed indices, as 1 -2 3 or 1,-2,3, or e; START is a "
+                        "word with commas;", "a SPEC is v:<word> or e:<word>:<label>:<t>."])
+
+
+def _typed(name: str, label: str, kind: type, token: str):
+    try:
+        return kind(token)
+    except ValueError:
+        raise _Usage(name, f"argument {label}: invalid {kind.__name__} value: {token!r}") from None
+
+
+def _parse(argv) -> SimpleNamespace:
+    """Read `[--json] COMMAND ARGS` from COMMANDS, or raise _Usage."""
+    tokens = iter(argv)
+    as_json, name = False, next(tokens, None)
+    while name == "--json":
+        as_json, name = True, next(tokens, None)
+    if name in ("-h", "--help"):
+        raise _Usage(None, None)
+    if name not in COMMANDS:
+        raise _Usage(None, "a command is required" if name is None
+                     else f"unrecognized option {name}" if name.startswith("--")
+                     else f"unknown command {name!r}")
+    _, arguments, options, _ = COMMANDS[name]
+    values = {key: d for key, d in options.items() if not isinstance(d, type)}
+    given = []
+    for token in tokens:
+        opt, eq, value = token.partition("=")
+        key = opt[2:].replace("-", "_")
+        if token == "--":
+            given += tokens
+        elif token in ("-h", "--help"):
+            raise _Usage(name, None)
+        elif not token.startswith("--"):
+            given.append(token)
+        elif "_" in opt or key not in options:
+            raise _Usage(name, f"unrecognized option {opt}")
+        elif options[key] is False:
+            if eq:
+                raise _Usage(name, f"option {opt} takes no value")
+            values[key] = True
+        elif not eq and (value := next(tokens, "--")).startswith("--"):
+            raise _Usage(name, f"option {opt} needs a value")
+        else:
+            kind = options[key] if isinstance(options[key], type) else type(options[key])
+            values[key] = _typed(name, opt, kind, value)
+    missing = options.keys() - values.keys()
+    if missing:
+        raise _Usage(name, f"option --{missing.pop().replace('_', '-')} is required")
+    if arguments == (WORD,) and given:
+        return SimpleNamespace(json=as_json, command=name, word=given, **values)
+    if len(given) < len(arguments):
+        raise _Usage(name, f"argument {arguments[len(given)][0].upper()} is required")
+    if len(given) > len(arguments):
+        raise _Usage(name, "unrecognized arguments: " + " ".join(given[len(arguments):]))
+    for (key, kind), token in zip(arguments, given):
+        values[key] = _typed(name, key.upper(), kind, token)
+    return SimpleNamespace(json=as_json, command=name, **values)
+
+
+def _emit(args, payload, status="ok", message=None):
+    command = args.command
     if args.json:
-        obj = {
-            "command": command,
-            "input": payload.pop("input", None),
-            "output": payload,
-            "status": status,
-        }
+        obj = {"command": command, "input": payload.pop("input", None), "output": payload,
+               "status": status}
         if message:
             obj["message"] = message
         print(json.dumps(obj, sort_keys=True))
@@ -48,10 +155,6 @@ def _emit(args, command, payload, status="ok", message=None):
         else:
             parts = [f"{k}={v}" for k, v in payload.items() if k != "input"]
             print(f"{command} {payload.get('input', '')}: " + " ".join(parts))
-
-
-def _word_arg(tokens) -> tuple:
-    return parse_word(" ".join(tokens))
 
 
 def _vertex_text(v, unwind: int = 0) -> str:
@@ -92,229 +195,159 @@ def _chart_name(c) -> str:
     return f"U_v[{format_word(c.owner.word)}]"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="earring", description=__doc__)
-    p.add_argument("--json", action="store_true", help="emit one JSON object")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def word_cmd(name, help_):
-        sp = sub.add_parser(name, help=help_)
-        sp.add_argument("word", nargs="+", help="signed indices, or `e`")
-        return sp
-
-    word_cmd("survives", "does the reduced word survive the pruning")
-    word_cmd("island", "island index containing the word, if any")
-    word_cmd("ev", "tree-edge labels at a surviving vertex")
-
-    sp = sub.add_parser("zpath", help="anchored edge-path vertices of island j")
-    sp.add_argument("j", type=int)
-
-    sp = sub.add_parser("crosscheck", help="compare the two removal rules near island j")
-    sp.add_argument("j", type=int)
-    sp.add_argument("radius", type=int)
-
-    sp = word_cmd("lift", "lift the word from a start vertex")
-    sp.add_argument("--start", default="e", help="start vertex word (commas)")
-    sp.add_argument("--trace", action="store_true")
-
-    word_cmd("in-k", "does the loop lift back to the base point")
-
-    sp = word_cmd("witness", "conjugation certificate for an essential word")
-    sp.add_argument("--trace", action="store_true")
-
-    sp = sub.add_parser("scan", help="run the witness over all words up to a weight")
-    sp.add_argument("--max-weight", type=int, required=True)
-
-    sp = sub.add_parser("q-point", help="project a point upstairs")
-    sp.add_argument("spec")
-
-    sp = sub.add_parser("charts", help="atlas charts containing a point")
-    sp.add_argument("spec")
-
-    sp = sub.add_parser("atlas-check", help="sampled atlas properties")
-    sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    return p
+@command("survives", "does the reduced word survive the pruning", WORD)
+def _survives(args):
+    _emit(args, {"input": args.wtext, "verdict": graph.survives(words.reduce_word(args.word))})
 
 
-def run(args) -> int:
-    cmd = args.command
-    if cmd in ("survives", "island", "ev", "in-k", "lift", "witness"):
-        w = _word_arg(args.word)
-        wtext = format_word(w)
-        if cmd == "survives":
-            v = words.reduce_word(w)
-            _emit(args, cmd, {"input": wtext, "verdict": graph.survives(v)})
-            return 0
-        if cmd == "island":
-            v = words.reduce_word(w)
-            j = graph.island_of(v)
-            _emit(args, cmd, {"input": wtext, "island": j})
-            return 0
-        if cmd == "ev":
-            v = words.reduce_word(w)
-            if not graph.survives(v):
-                _emit(args, cmd, {"input": wtext}, "error", "vertex does not survive")
-                return 1
-            es = sorted(graph.e_set(v))
-            _emit(args, cmd, {"input": wtext, "e_set": es})
-            return 0
-        if cmd == "in-k":
-            _emit(args, cmd, {"input": wtext, "verdict": lifting.in_k(w)})
-            return 0
-        if cmd == "lift":
-            start = graph.Vertex.make(words.reduce_word(parse_word(args.start)))
-            trace = lifting.lift_word(w, start=start)
-            payload = {
-                "input": wtext,
-                "start": format_word(start.word),
-                "endpoint": format_word(trace.endpoint.word),
-                "steps": len(trace.word),
-            }
-            if args.trace:
-                payload["trace"] = [
-                    {"letter": s.letter, "kind": s.kind, "vertex": format_word(s.at.word)}
-                    for s in trace.steps
-                ]
-            if args.json or not args.trace:
-                _emit(args, cmd, payload)
-            else:
-                for s in trace.steps:
-                    print(f"{s.letter} {s.kind} {format_word(s.at.word)}")
-                print(f"endpoint {format_word(trace.endpoint.word)}")
-            return 0
-        if cmd == "witness":
-            try:
-                cert = corefree.witness_conjugator(w)
-            except ValueError as exc:
-                _emit(args, cmd, {"input": wtext}, "error", str(exc))
-                return 1
-            steps = 2 * cert.beta.length + len(w)
-            if args.trace and steps > MAX_LIFT_LETTERS:
-                _emit(args, cmd, {"input": wtext}, "error",
-                      f"the lift of beta w beta^-1 has {steps} steps; --trace prints "
-                      f"at most {MAX_LIFT_LETTERS}")
-                return 1
-            payload = {
-                "input": wtext,
-                "j": cert.j,
-                "beta_length": cert.beta.length,
-                "midpoint": _vertex_text(cert.midpoint),
-                "endpoint": _vertex_text(cert.turn, cert.unwind),
-                "verdict": cert.verdict,
-            }
-            if args.trace:
-                payload["trace"] = [
-                    {"letter": s.letter, "kind": s.kind, "vertex": format_word(s.at.word)}
-                    for s in cert.trace.steps
-                ]
-            _emit(args, cmd, payload)
-            return 0
-
-    if cmd == "zpath":
-        data = graph.island_data(args.j)
-        letters = sum(rec[0] for rec in data.path)
-        if letters > MAX_LIFT_LETTERS:
-            _emit(args, cmd, {"input": str(args.j)}, "error",
-                  f"the z_path of island {args.j} has {letters} letters, over the "
-                  f"limit of {MAX_LIFT_LETTERS}")
-            return 1
-        _emit(args, cmd, {
-            "input": str(args.j),
-            "word": format_word(data.word),
-            "anchor_length": data.anchor_len,
-            "level": data.level,
-            "z_path": [format_word(z) for z in data.z_path],
-        })
-        return 0
-
-    if cmd == "crosscheck":
-        report = graph.removal_cross_check(args.j, args.radius)
-        _emit(args, cmd, {
-            "input": f"{args.j} {args.radius}",
-            "examined": report.examined,
-            "removed": report.removed,
-            "disagreements": len(report.disagreements),
-        })
-        return 0 if report.ok else 2
-
-    if cmd == "scan":
-        try:
-            report = corefree.core_free_scan(args.max_weight)
-        except ValueError as exc:
-            _emit(args, cmd, {"input": str(args.max_weight)}, "error", str(exc))
-            return 1
-        entries = [
-            {
-                "j": e.j,
-                "word": format_word(e.word),
-                "essential": e.essential,
-                "in_k": e.in_k,
-                "verdict": e.verdict,
-            }
-            for e in report.entries
-        ]
-        payload = {
-            "input": str(args.max_weight),
-            "checked": report.checked,
-            "skipped": report.skipped,
-        }
-        if report.refused:
-            payload["refused"] = report.refused
-        payload["failures"] = len(report.failures)
-        payload["entries"] = entries if args.json else f"[{len(entries)} words]"
-        _emit(args, cmd, payload)
-        return 0 if report.ok else 2
-
-    if cmd in ("q-point", "charts"):
-        p = _point_spec(args.spec)
-        if cmd == "q-point":
-            x = charts.q_point(p)
-            payload = {"input": args.spec}
-            if x.is_origin:
-                payload["point"] = "origin"
-            else:
-                payload.update({"circle": x.circle, "t": x.t})
-                payload["planar"] = list(charts.planar(x))
-            _emit(args, cmd, payload)
-            return 0
-        found = charts.charts_containing(p)
-        _emit(args, cmd, {"input": args.spec, "charts": [_chart_name(c) for c in found]})
-        return 0
-
-    if cmd == "atlas-check":
-        report = charts.atlas_check(args.samples, seed=args.seed)
-        _emit(args, cmd, {
-            "input": str(args.samples),
-            "round_trips": report.round_trips,
-            "overlaps": report.overlaps,
-            "failures": len(report.failures),
-        })
-        return 0 if report.ok else 2
-
-    raise AssertionError(f"unhandled command {cmd}")
+@command("island", "island index containing the word, if any", WORD)
+def _island(args):
+    _emit(args, {"input": args.wtext, "island": graph.island_of(words.reduce_word(args.word))})
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    argv = [" " + a if _COMMA_WORD.fullmatch(a) else a for a in argv]
+@command("ev", "tree-edge labels at a surviving vertex", WORD)
+def _ev(args):
+    v = words.reduce_word(args.word)
+    if not graph.survives(v):
+        _emit(args, {"input": args.wtext}, "error", "vertex does not survive")
+        return 1
+    _emit(args, {"input": args.wtext, "e_set": sorted(graph.e_set(v))})
+
+
+@command("zpath", "anchored edge-path vertices of island j", ("j", int))
+def _zpath(args):
+    data = graph.island_data(args.j)
+    letters = sum(rec[0] for rec in data.path)
+    if letters > MAX_LIFT_LETTERS:
+        _emit(args, {"input": str(args.j)}, "error",
+              f"the z_path of island {args.j} has {letters} letters, over the "
+              f"limit of {MAX_LIFT_LETTERS}")
+        return 1
+    _emit(args, {"input": str(args.j), "word": format_word(data.word),
+                 "anchor_length": data.anchor_len, "level": data.level,
+                 "z_path": [format_word(z) for z in data.z_path]})
+
+
+@command("crosscheck", "compare the two removal rules near island j", ("j", int),
+         ("radius", int))
+def _crosscheck(args):
+    report = graph.removal_cross_check(args.j, args.radius)
+    _emit(args, {"input": f"{args.j} {args.radius}", "examined": report.examined,
+                 "removed": report.removed, "disagreements": len(report.disagreements)})
+    return 0 if report.ok else 2
+
+
+def _trace_steps(steps) -> list:
+    return [{"letter": s.letter, "kind": s.kind, "vertex": format_word(s.at.word)}
+            for s in steps]
+
+
+@command("lift", "lift the word from a start vertex", WORD, start="e", trace=False)
+def _lift(args):
+    start = graph.Vertex.make(words.reduce_word(parse_word(args.start)))
+    trace = lifting.lift_word(args.word, start=start)
+    payload = {"input": args.wtext, "start": format_word(start.word),
+               "endpoint": format_word(trace.endpoint.word), "steps": len(trace.word)}
+    if args.trace:
+        payload["trace"] = _trace_steps(trace.steps)
+    if args.json or not args.trace:
+        _emit(args, payload)
+    else:
+        for s in trace.steps:
+            print(f"{s.letter} {s.kind} {format_word(s.at.word)}")
+        print(f"endpoint {format_word(trace.endpoint.word)}")
+
+
+@command("in-k", "does the loop lift back to the base point", WORD)
+def _in_k(args):
+    _emit(args, {"input": args.wtext, "verdict": lifting.in_k(args.word)})
+
+
+@command("witness", "conjugation certificate for an essential word", WORD, trace=False)
+def _witness(args):
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
+        cert = corefree.witness_conjugator(args.word)
+    except ValueError as exc:
+        _emit(args, {"input": args.wtext}, "error", str(exc))
+        return 1
+    steps = 2 * cert.beta.length + len(args.word)
+    if args.trace and steps > MAX_LIFT_LETTERS:
+        _emit(args, {"input": args.wtext}, "error",
+              f"the lift of beta w beta^-1 has {steps} steps; --trace prints "
+              f"at most {MAX_LIFT_LETTERS}")
+        return 1
+    payload = {"input": args.wtext, "j": cert.j, "beta_length": cert.beta.length,
+               "midpoint": _vertex_text(cert.midpoint),
+               "endpoint": _vertex_text(cert.turn, cert.unwind), "verdict": cert.verdict}
+    if args.trace:
+        payload["trace"] = _trace_steps(cert.trace.steps)
+    _emit(args, payload)
+
+
+@command("scan", "run the witness over all words up to a weight", max_weight=int)
+def _scan(args):
     try:
-        return run(args)
+        report = corefree.core_free_scan(args.max_weight)
+    except ValueError as exc:
+        _emit(args, {"input": str(args.max_weight)}, "error", str(exc))
+        return 1
+    entries = [{"j": e.j, "word": format_word(e.word), "essential": e.essential,
+                "in_k": e.in_k, "verdict": e.verdict} for e in report.entries]
+    payload = {"input": str(args.max_weight), "checked": report.checked,
+               "skipped": report.skipped}
+    if report.refused:
+        payload["refused"] = report.refused
+    payload["failures"] = len(report.failures)
+    payload["entries"] = entries if args.json else f"[{len(entries)} words]"
+    _emit(args, payload)
+    return 0 if report.ok else 2
+
+
+@command("q-point", "project a point upstairs", ("spec", str))
+def _q_point(args):
+    x = charts.q_point(_point_spec(args.spec))
+    payload = {"input": args.spec}
+    if x.is_origin:
+        payload["point"] = "origin"
+    else:
+        payload.update({"circle": x.circle, "t": x.t, "planar": list(charts.planar(x))})
+    _emit(args, payload)
+
+
+@command("charts", "atlas charts containing a point", ("spec", str))
+def _charts(args):
+    found = charts.charts_containing(_point_spec(args.spec))
+    _emit(args, {"input": args.spec, "charts": [_chart_name(c) for c in found]})
+
+
+@command("atlas-check", "sampled atlas properties", samples=1000, seed=0)
+def _atlas_check(args):
+    report = charts.atlas_check(args.samples, seed=args.seed)
+    _emit(args, {"input": str(args.samples), "round_trips": report.round_trips,
+                 "overlaps": report.overlaps, "failures": len(report.failures)})
+    return 0 if report.ok else 2
+
+
+def main(argv: list | None = None) -> int:
+    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Usage as exc:
+        name, message = exc.args
+        if message is None:
+            print(_help(name))
+            return 0
+        print(_usage(name), f"earring{'' if name is None else ' ' + name}: error: {message}",
+              sep="\n", file=sys.stderr)
+        return 1
+    try:
+        if hasattr(args, "word"):
+            args.word = parse_word(" ".join(args.word))
+            args.wtext = format_word(args.word)
+        return COMMANDS[args.command][3](args) or 0
     except (ValueError, MemoryError) as exc:
         message = str(exc) if isinstance(exc, ValueError) else "out of memory"
         if args.json:
-            print(json.dumps({
-                "command": args.command,
-                "input": None,
-                "output": {},
-                "status": "error",
-                "message": message,
-            }, sort_keys=True))
+            _emit(args, {}, "error", message)
         else:
             print(f"{args.command}: error: {message}", file=sys.stderr)
         return 1

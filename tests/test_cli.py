@@ -1,8 +1,16 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+from earring import cli
 from earring.cli import main
 
 
@@ -213,6 +221,21 @@ class TestWitness:
         assert code == 1
         assert "has 1554249877 steps" in out + err
 
+    @pytest.mark.parametrize("letter", ["1000", "2000", "99999999999999999999"])
+    @pytest.mark.parametrize("json_flag", [True, False])
+    def test_heavy_one_letter_word_is_refused_quickly(self, capsys, letter, json_flag):
+        # a_m has weight m + 1, past the word index's bound of 384
+        message = f"the word has weight {int(letter) + 1}; the word index stops at weight 384"
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *(["--json"] if json_flag else []), "witness", letter)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        if json_flag:
+            assert json.loads(out) == {"command": "witness", "input": letter, "output": {},
+                                       "status": "error", "message": message}
+        else:
+            assert (out, err) == (f"witness: error: {message}\n", "")
+
     def test_trace_included_in_json(self, capsys):
         code, obj = run_json(capsys, "witness", "--trace", "3")
         assert code == 0
@@ -350,3 +373,158 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--json", "--help"]])
+    def test_help_lists_every_command(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: earring [--json] COMMAND ARGS...\n")
+        listed = [line.split()[0] for line in out.split("commands:\n")[1].split("\n\n")[0]
+                  .splitlines()]
+        assert listed == list(cli.COMMANDS) and len(listed) == 12
+
+    @pytest.mark.parametrize("argv", [["witness", "--help"], ["witness", "3", "-h"],
+                                      ["--json", "witness", "--trace", "--help"]])
+    def test_command_help(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == ("usage: earring [--json] witness [--trace] WORD...\n\n"
+                       "conjugation certificate for an essential word\n")
+
+    @pytest.mark.parametrize("argv, usage, message", [
+        (["witness", "--frobnicate", "3"], "witness [--trace] WORD...",
+         "earring witness: error: unrecognized option --frobnicate"),
+        (["scan"], "scan --max-weight MAX_WEIGHT",
+         "earring scan: error: option --max-weight is required"),
+        (["zpath", "x"], "zpath J", "earring zpath: error: argument J: invalid int value: 'x'"),
+        (["lift", "--start"], "lift [--start START] [--trace] WORD...",
+         "earring lift: error: option --start needs a value"),
+        (["lift", "--start", "--trace", "1"], "lift [--start START] [--trace] WORD...",
+         "earring lift: error: option --start needs a value"),
+        (["--max", "5"], "COMMAND ARGS...", "earring: error: unrecognized option --max"),
+        # prefix abbreviations of options are not read
+        (["scan", "--max", "5"], "scan --max-weight MAX_WEIGHT",
+         "earring scan: error: unrecognized option --max"),
+        (["frobnicate"], "COMMAND ARGS...", "earring: error: unknown command 'frobnicate'"),
+        ([], "COMMAND ARGS...", "earring: error: a command is required"),
+        (["survives"], "survives WORD...", "earring survives: error: argument WORD is required"),
+        (["crosscheck", "9"], "crosscheck J RADIUS",
+         "earring crosscheck: error: argument RADIUS is required"),
+        (["q-point", "v:e", "v:e"], "q-point SPEC",
+         "earring q-point: error: unrecognized arguments: v:e"),
+        (["witness", "--trace=1", "3"], "witness [--trace] WORD...",
+         "earring witness: error: option --trace takes no value"),
+    ])
+    @pytest.mark.parametrize("json_flag", [True, False])
+    def test_usage_errors(self, capsys, argv, usage, message, json_flag):
+        code, out, err = run_cli(capsys, *(["--json"] if json_flag else []), *argv)
+        assert (code, out) == (1, "")
+        assert err == f"usage: earring [--json] {usage}\n{message}\n"
+
+    def test_import_leaves_argparse_and_re_out(self):
+        # `re` itself is loaded by the standard library's typing, dataclasses
+        # and json before the CLI module is reached, so for `re` the check is
+        # that the module does not import it
+        code = ("import json, sys, earring.cli as cli; "
+                "print(json.dumps(['argparse' in sys.modules, 'argparse' in vars(cli), "
+                "'re' in vars(cli)]))")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert json.loads(out) == [False, False, False]
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command table replaced, kept as the
+    definition the table-driven parser is checked against."""
+    p = argparse.ArgumentParser(prog="earring")
+    p.add_argument("--json", action="store_true")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name in ("survives", "island", "ev", "lift", "in-k", "witness"):
+        sub.add_parser(name).add_argument("word", nargs="+")
+    sub.add_parser("zpath").add_argument("j", type=int)
+    sp = sub.add_parser("crosscheck")
+    sp.add_argument("j", type=int)
+    sp.add_argument("radius", type=int)
+    sub.choices["lift"].add_argument("--start", default="e")
+    sub.choices["lift"].add_argument("--trace", action="store_true")
+    sub.choices["witness"].add_argument("--trace", action="store_true")
+    sub.add_parser("scan").add_argument("--max-weight", type=int, required=True)
+    sub.add_parser("q-point").add_argument("spec")
+    sub.add_parser("charts").add_argument("spec")
+    sp = sub.add_parser("atlas-check")
+    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--seed", type=int, default=0)
+    return p
+
+
+# argparse takes a token that starts with '-' for an option unless it
+# reads as one negative number or holds a space; the reference passes a
+# comma word such as -2,-1,-2 on with a leading space
+_COMMA_WORD = re.compile(r"-\d+,[-\d,\s]*")
+
+
+def reference_parse(argv):
+    """The reference's reading of argv as a dict, or None if it rejects it."""
+    argv = [" " + a if _COMMA_WORD.fullmatch(a) else a for a in argv]
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            ns = reference_parser().parse_args(argv)
+    except SystemExit:
+        return None
+    values = vars(ns)
+    if "word" in values:
+        values["word"] = [token.strip() for token in values["word"]]
+    return values
+
+
+def table_parse(argv):
+    try:
+        return vars(cli._parse(argv))
+    except cli._Usage:
+        return None
+
+
+TWIN_ACCEPTED = [
+    "survives 1 2 1", "survives e", "island -2,-1,-2", "ev -1,-2", "in-k -3,1,-1",
+    "survives -1,-2 -3", "witness -2 -1 -2", "witness --trace 3", "witness 3 --trace",
+    "witness -- -2,-1,-2", "witness 1 -- -2", "lift --start 1,2 -1,3", "lift --start=1,2,1,2 1",
+    "lift --start=-1,2 1", "lift --start -1 2", "lift --trace 1 2 3", "lift -- --start 1",
+    "zpath -1", "zpath 9", "zpath +3", "zpath 1 --", "crosscheck 9 -2",
+    "scan --max-weight 5", "scan --max-weight=5", "scan --max-weight -3",
+    "scan --max-weight 5 --max-weight 6", "q-point e:e:3:0.5", "charts v:1,2,1,2",
+    "atlas-check", "atlas-check --samples 100 --seed=5", "--json witness 3",
+    "--json --json survives e",
+]
+TWIN_REJECTED = [
+    "", "--json", "frobnicate 1", "--foo witness 3", "ev --json e",
+    # every command without its arguments, or with one too many
+    "survives", "survives --", "island", "ev", "in-k", "lift", "lift --trace", "witness",
+    "witness --trace", "zpath", "zpath 1 2", "crosscheck 9", "crosscheck 9 2 3", "scan",
+    "scan 5 --max-weight 5", "q-point", "q-point a b", "charts", "charts a b", "atlas-check 5",
+    # bad option values
+    "zpath x", "zpath 1.5", "crosscheck 9 x", "scan --max-weight x", "atlas-check --samples x",
+    "lift --start", "lift --start --trace 1", "lift --start -- 1", "witness --trace=1 3",
+    "witness --foo 3",
+]
+
+
+class TestParserTwin:
+    """The table-driven parser reads every command line the way the
+    argparse parser it replaced did: the same command, --json, word,
+    ints, spec and option values, or a rejection by both.  Two readings
+    differ on purpose and are not listed: argparse took an option prefix
+    such as --max for --max-weight, and it rejected a word split by an
+    option (`lift 1 --trace 2`)."""
+
+    @pytest.mark.parametrize("line", TWIN_ACCEPTED)
+    def test_accepted_alike(self, line):
+        ref = reference_parse(line.split())
+        assert ref is not None
+        assert table_parse(line.split()) == ref
+
+    @pytest.mark.parametrize("line", TWIN_REJECTED)
+    def test_rejected_alike(self, line):
+        assert reference_parse(line.split()) is None
+        assert table_parse(line.split()) is None

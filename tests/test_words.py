@@ -1,8 +1,10 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earring import words
 from earring.words import (
     anchor,
     anchor_index,
@@ -175,6 +177,35 @@ class TestClosedForm:
     def test_far_anchor_index(self, j):
         assert anchor_index(anchor_length(j)) == j
         assert anchor_index(anchor_length(j) - 1) == j - 1
+
+
+class TestWeightBound:
+    """The class table stops at words.MAX_WEIGHT: a heavier word, or an
+    index past the words it lists, raises ValueError before the table
+    grows."""
+
+    @pytest.mark.parametrize("w", [(words.MAX_WEIGHT,), (1,) * words.MAX_WEIGHT,
+                                   (2, -1000), (99999999999999999999,)])
+    def test_index_of_refuses_a_heavier_word_at_once(self, w):
+        classes = len(words._classes)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"weight {weight(w)};"):
+            index_of(w)
+        assert time.perf_counter() - t0 < 0.1
+        assert len(words._classes) == classes
+
+    def test_the_bound_is_the_table_weight(self, monkeypatch):
+        nth_word(100)
+        top = sum(words._classes[-1][:2])  # the weight of the last class
+        last = words._firsts[-1]           # the words of weight <= top
+        monkeypatch.setattr(words, "MAX_WEIGHT", top)
+        assert index_of(nth_word(last)) == last
+        assert weight(nth_word(last)) == top
+        for far in (lambda: nth_word(last + 1), lambda: index_of((top,)),
+                    lambda: anchor_index(anchor_length(last) + 10**6)):
+            with pytest.raises(ValueError, match=f"stops at weight {top}"):
+                far()
+        assert words._firsts[-1] == last
 
 
 class TestAnchor:
