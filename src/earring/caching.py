@@ -4,10 +4,11 @@ The environment variable EARRING_CACHE_BYTES bounds the graph's word
 index, the one table keyed by words (word -> trie vertex, or pruned).
 Its cost is an estimate, 128 bytes plus 8 per letter of each key; when
 the next entry would pass the cap the whole table is cleared, and 0
-keeps it empty.  Island data and the trie of visited vertices are not
-bounded; ray vertices are registered weakly.  `reset_caches()` drops
-all of them.  Caches are transparent: every result is recomputable, so
-capping or disabling them never changes observable behavior.
+keeps it empty.  Island data, the trie of visited vertices and the
+class table of the word enumeration are not bounded; ray vertices are
+registered weakly.  `reset_caches()` drops all of them.  Caches are
+transparent: every result is recomputable, so capping or disabling them
+never changes observable behavior.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ so a word such as -2,-1,-2 or -2 -1 -2 is read as a word.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -157,19 +158,40 @@ def _emit(args, payload, status="ok", message=None):
             print(f"{command} {payload.get('input', '')}: " + " ".join(parts))
 
 
-def _vertex_text(v, unwind: int = 0) -> str:
-    """The word v.word + R[:unwind]^{-1}, spelled out as format_word does,
-    or in the compact form when it has more than MAX_LIFT_LETTERS letters.
-    The ray runs are written as text directly, never as tuples."""
-    p = v.ray_len
-    if v.depth + unwind <= MAX_LIFT_LETTERS:
-        ray = " ".join(["1 2"] * (p // 2) + ["1"] * (p % 2))
-        back = " ".join(["-1"] * (unwind % 2) + ["-2 -1"] * (unwind // 2))
+def _word_text(p: int, tail: str, m: int, letters: int) -> str:
+    """The word R[:p] + tail + R[:m]^{-1} of `letters` letters, R = a_1 a_2
+    a_1 ... the zig-zag ray and tail the text of the letters between ("" for
+    none), written as format_word writes it, or in the compact form when it
+    has more than MAX_LIFT_LETTERS letters.  Each ray run is written as one
+    repeated block of text, never letter by letter."""
+    if letters > MAX_LIFT_LETTERS:
+        ray, back = f"ray[{p}] " * (p > 0), f"ray[{m}]^-1 " * (m > 0)
     else:
-        ray = f"ray[{p}]" if p else ""
-        back = f"ray[{unwind}]^-1" if unwind else ""
-    tail = v.tail
-    return " ".join(part for part in (ray, tail and format_word(tail), back) if part) or "e"
+        ray, back = "1 2 " * (p // 2) + "1 " * (p % 2), "-1 " * (m % 2) + "-2 -1 " * (m // 2)
+    return (ray + tail + " " * (tail != "") + back)[:-1] or "e"
+
+
+def _vertex_text(v, unwind: int = 0) -> str:
+    """The word v.word + R[:unwind]^{-1}; only v's letters past the ray are
+    read from v."""
+    return _word_text(v.ray_len, " ".join(map(str, v.tail)), unwind, v.depth + unwind)
+
+
+def _trace(trace):
+    """The steps of a LiftTrace as {"letter", "kind", "vertex"} dicts.  A
+    step moves the depth by at most one, and the ray agreement changes only
+    at a vertex of the ray, so the tail is kept as a list of letter tokens
+    that each step appends to or pops, never read again from the vertex."""
+    p, tail = trace.start.ray_len, [str(x) for x in trace.start.tail]
+    for s in trace.steps:
+        if s.at.ray_len != p:
+            p = s.at.ray_len
+        elif s.at.depth > p + len(tail):
+            tail.append(str(s.letter))
+        elif s.at.depth < p + len(tail):
+            tail.pop()
+        yield {"letter": s.letter, "kind": s.kind,
+               "vertex": _word_text(p, " ".join(tail), 0, s.at.depth)}
 
 
 def _point_spec(spec: str):
@@ -191,8 +213,8 @@ def _point_spec(spec: str):
 def _chart_name(c) -> str:
     if c.tag == "edge":
         e = c.edge
-        return f"U_e[{format_word(e.base.word)};a{e.label};{e.kind}]"
-    return f"U_v[{format_word(c.owner.word)}]"
+        return f"U_e[{_vertex_text(e.base)};a{e.label};{e.kind}]"
+    return f"U_v[{_vertex_text(c.owner)}]"
 
 
 @command("survives", "does the reduced word survive the pruning", WORD)
@@ -225,7 +247,8 @@ def _zpath(args):
         return 1
     _emit(args, {"input": str(args.j), "word": format_word(data.word),
                  "anchor_length": data.anchor_len, "level": data.level,
-                 "z_path": [format_word(z) for z in data.z_path]})
+                 "z_path": [_word_text(p, " ".join(map(str, tail)), 0, n)
+                            for n, p, tail in data.path]})
 
 
 @command("crosscheck", "compare the two removal rules near island j", ("j", int),
@@ -237,25 +260,21 @@ def _crosscheck(args):
     return 0 if report.ok else 2
 
 
-def _trace_steps(steps) -> list:
-    return [{"letter": s.letter, "kind": s.kind, "vertex": format_word(s.at.word)}
-            for s in steps]
-
-
 @command("lift", "lift the word from a start vertex", WORD, start="e", trace=False)
 def _lift(args):
     start = graph.Vertex.make(words.reduce_word(parse_word(args.start)))
     trace = lifting.lift_word(args.word, start=start)
-    payload = {"input": args.wtext, "start": format_word(start.word),
-               "endpoint": format_word(trace.endpoint.word), "steps": len(trace.word)}
+    endpoint = _vertex_text(trace.endpoint)
+    if args.trace and not args.json:
+        for step in _trace(trace):
+            print(*step.values())
+        print("endpoint", endpoint)
+        return
+    payload = {"input": args.wtext, "start": _vertex_text(start), "endpoint": endpoint,
+               "steps": len(trace.word)}
     if args.trace:
-        payload["trace"] = _trace_steps(trace.steps)
-    if args.json or not args.trace:
-        _emit(args, payload)
-    else:
-        for s in trace.steps:
-            print(f"{s.letter} {s.kind} {format_word(s.at.word)}")
-        print(f"endpoint {format_word(trace.endpoint.word)}")
+        payload["trace"] = list(_trace(trace))
+    _emit(args, payload)
 
 
 @command("in-k", "does the loop lift back to the base point", WORD)
@@ -280,7 +299,7 @@ def _witness(args):
                "midpoint": _vertex_text(cert.midpoint),
                "endpoint": _vertex_text(cert.turn, cert.unwind), "verdict": cert.verdict}
     if args.trace:
-        payload["trace"] = _trace_steps(cert.trace.steps)
+        payload["trace"] = list(_trace(cert.trace))
     _emit(args, payload)
 
 
@@ -340,17 +359,26 @@ def main(argv: list | None = None) -> int:
               sep="\n", file=sys.stderr)
         return 1
     try:
-        if hasattr(args, "word"):
-            args.word = parse_word(" ".join(args.word))
-            args.wtext = format_word(args.word)
-        return COMMANDS[args.command][3](args) or 0
-    except (ValueError, MemoryError) as exc:
-        message = str(exc) if isinstance(exc, ValueError) else "out of memory"
-        if args.json:
-            _emit(args, {}, "error", message)
-        else:
-            print(f"{args.command}: error: {message}", file=sys.stderr)
+        try:
+            if hasattr(args, "word"):
+                args.word = parse_word(" ".join(args.word))
+                args.wtext = format_word(args.word)
+            code = COMMANDS[args.command][3](args) or 0
+        except (ValueError, MemoryError) as exc:
+            message = str(exc) if isinstance(exc, ValueError) else "out of memory"
+            if args.json:
+                _emit(args, {}, "error", message)
+            else:
+                print(f"{args.command}: error: {message}", file=sys.stderr)
+            code = 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, as `earring ... | head` does: point stdout
+        # at devnull, so that the flush at exit does not fail again, and exit 1
+        # with nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -27,6 +27,8 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 
+from .caching import on_reset
+
 Letter = int
 Word = tuple  # tuple[int, ...]
 
@@ -123,6 +125,15 @@ def _add_weight() -> None:
         _first_anchors.append(2 * _letters_total + 3 * (_firsts[-1] + 1) + length)
         _firsts.append(_firsts[-1] + count)
         _letters_total += count * length
+
+
+@on_reset
+def _drop_classes() -> None:
+    """Empty the class table; it grows again as far as the next index asked
+    for.  After the words of weight 384 it holds about 52 MB."""
+    global _letters_total
+    del _firsts[1:], _classes[:], _first_anchors[:]
+    _letters_total = 0
 
 
 def _class_of(j: int) -> tuple:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -10,8 +11,9 @@ import time
 
 import pytest
 
-from earring import cli
+from earring import cli, corefree, graph, lifting
 from earring.cli import main
+from earring.words import format_word, invert, nth_word, reduce_word, zigzag_prefix
 
 
 def run_cli(capsys, *argv):
@@ -528,3 +530,153 @@ class TestParserTwin:
     def test_rejected_alike(self, line):
         assert reference_parse(line.split()) is None
         assert table_parse(line.split()) is None
+
+
+# --- vertex text ------------------------------------------------------------
+
+BACKS = [invert(zigzag_prefix(m)) for m in range(4)]  # R[:m]^{-1}, m = 0..3
+
+
+def check_step_texts(trace):
+    """cli's text of every step vertex of a LiftTrace, alone and followed by
+    R[:m]^{-1}, and its trace lines, against format_word of spelled words."""
+    spelled = []
+    for s in trace.steps:
+        word = s.at.word
+        spelled.append(format_word(word))
+        assert [cli._vertex_text(s.at, m) for m in range(4)] \
+            == [format_word(word + back) for back in BACKS]
+    assert [step["vertex"] for step in cli._trace(trace)] == spelled
+    assert [(step["letter"], step["kind"]) for step in cli._trace(trace)] \
+        == [(s.letter, s.kind) for s in trace.steps]
+
+
+class TestVertexText:
+    """The CLI writes a vertex as a ray run R[:p], repeated as a block of
+    text, then its tail; trace lines keep the tail as a list of tokens.  Both
+    must read as format_word of the spelled word."""
+
+    @pytest.mark.parametrize("j", [j for j in range(1, 61) if reduce_word(nth_word(j))])
+    def test_witness_trace(self, j):
+        check_step_texts(corefree.witness_conjugator(nth_word(j)).trace)
+
+    @pytest.mark.parametrize("start", [(), (1, 2, 1), (1, 2, 1, 2), (1, -2), (-1,), (2,),
+                                       (1, 2, -1, -2)])
+    def test_lift_trace(self, start):
+        # the words leave the ray, come back to it and run along it both
+        # ways, from the start and from the base point reached by its inverse
+        for word in [(2, 2, 1, -2, -1, -1, 3, -1), (1, 2, 1, 2, -2, -1, 4, -4, -1, -2, 1),
+                     (-2, -1, -2, 3, -3, 2, 1, 2, 1, 2, 1), (-1, 2, 1, -2, -1, -2, -1)]:
+            for w in (word, invert(start) + word):
+                check_step_texts(lifting.lift_word(w, start=graph.Vertex.make(start)))
+
+
+# sha256 of stdout, in text and with --json, per command; every command
+# exits 0.  The outputs were recorded when vertices were still spelled
+# letter by letter, so writing them as ray blocks must leave them alone.
+# Each group holds a vertex with an odd ray run R[:p] or an odd inverse
+# run R[:m]^{-1}.
+PINNED = {
+    "witness 9": {
+        "witness 3": (
+            "8bec70ef0585492ebdfa59319564e7bbc116908a26ce16082ae47d5ea3c3d0eb",
+            "8b1f16b9a412601ffc31772f749bf133011e7734aa1de6a2b8b55f3f0de604e2"),
+        "witness --trace 3": (
+            "7c644a5766d2cc27944af5682421ca2c61838f4184ef212677fbe52e76cfa5ea",
+            "6e514431d46dbab9657883f788334a6c068d8319877f14f439aaa55fadd49ee7"),
+    },
+    "witness 60": {
+        "witness 1 2 -2": (
+            "fc70d79493e7ff5bdbbcd5e18da6565fb30d10bc63e180f4aaf039fee6c6a634",
+            "af332d94e8afb62f1b26db46a64c091ff6a2ec03f73633f4ed3396024c9f8ab7"),
+        "witness --trace 1 2 -2": (
+            "cd88ccf7ee6bd423de928f3f0ebe35e3243907a45bfaec2d6f95b50e9703a26d",
+            "8c5b4588f3128a98f51510976d73fcbad7092fa68b99f83f592bab679de418a8"),
+    },
+    "witness 100": {
+        "witness -2 -1 -2": (
+            "678f588655da46c2e59d3e0feb564209d055ca053826963d78533cbd8548dddb",
+            "bea1379f51eb2b1fe141545587212bde636bda06d30fd2d41140a40c59da8241"),
+        "witness --trace -2 -1 -2": (
+            "9038533bec557c106698a5ecfa3a0ef8f33f99829de4d34e4debda98b2b3f161",
+            "ea2f86162269f19d5b6f9448ff9911280d58f815a72a5bff66dae32c34478ba3"),
+    },
+    "witness 250": {
+        "witness 3 2 -2": (
+            "d7b8b94576753f83cbcece28d3e316110b89eb769345c161baf0a62fa18c2507",
+            "ce7be94920068c8d29b4d11ba707581ed2660d6cae2dafb6b1bf1b4aad4a6184"),
+        "witness --trace 3 2 -2": (
+            "36f27e829d838f1b8d77f687a0d67ef80883a63097dd0b9798bb31c421212ebd",
+            "7a404236a2d09dd831d112c8d13c2b43b6da5ee6045666bdba9505b737813867"),
+    },
+    "compact": {
+        "witness 12": (
+            "b9eef2022064327b57f48ebfe0bf976bdfe143a3c293507b1053618c64ae85f5",
+            "132d4856dfddeccc04c174e9a686b43de673881e61e2bf08fa720d99477101af"),
+        "witness 2,1,-1": (
+            "1cc99fa6ed74cc9f78209c57c75bc960b70f220601e0a45a400cee933214e6a8",
+            "e824548c24dc89d29b1faf34ae94bb58ea946c008f084fc4228602f962de2816"),
+    },
+    "lift": {
+        "lift --trace 1 2 3": (
+            "2168c6ed012708eabc5b4c529a88fb0a67e7b19e8783ec64f8cdb5b660da281a",
+            "6b74191b10b04d61e37228ff76569b2c66277582ebd2a0f6f8b5161cbe0766d0"),
+        "lift --start 1,2 -1,3": (
+            "0a663c85dad38a23608b16a9edde4c469a5b8c6fc3a19ac024d17c03da4470e0",
+            "b63a66b9b1df4fc998f7b1f28a04e829afc779afedc3a727781b6fc91e2a5b96"),
+        "lift --trace --start 1,-2 2 2 1 -2 -1 -1 3 -1": (
+            "a05e53b4cf319e1265a0898be5b74905d6fb66874dd822ccef06b96b5ad2fb86",
+            "7828b56c37bcd9843c169a7f0eb4641084dfe9e9b9d6921c886bdf448c0f7620"),
+    },
+    "zpath": {
+        "zpath 1": (
+            "aaa251586692176aaa12c442b49a3262f7879a4c6c3e74c57f196f945ba740cd",
+            "b7b77da57ec2fe78e1c7d62d3d9e00c99883d35ac7c7883f584e5a44b46e56d6"),
+        "zpath 9": (
+            "b12ec263544bb928f9c723c63cb9416e36e74e02e0a276727c09b83f12eccea4",
+            "e7a373ee1f7207562dd08bdc20a8309aba790a790050570f63c46ded53aabd98"),
+    },
+    "charts": {
+        "charts e:e:3:0.5": (
+            "e7ca78ef6fc0922d49bfe18b7d7a802302befbcd3848dda110050e5f0344a1bc",
+            "888db3d1cf5cb2372cfffa91593dd724c65f36152b56e2a7db187406b248305a"),
+        "charts v:1,2,1,2": (
+            "c12e7c154f9d394986f093027ac6b8598a97d53ecd9f14233ad3d893ac9a4e70",
+            "52cb657e3e5f502f0a013d89d75b4f2c49c4ac7f506d36bd6566462214e3cdf1"),
+        "charts v:1,2,1": (
+            "4dce903f9631f3afd8f3afac4840c86cd06764dce685dfaef06b70336afc568c",
+            "e6d61a26edbf81214af934e69d8795db48d458ad30866bfda7dc311877617074"),
+    },
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("group", sorted(PINNED))
+    def test_stdout_digests(self, capsys, group):
+        for line, digests in PINNED[group].items():
+            for json_flag, digest in zip((False, True), digests):
+                code, out, err = run_cli(capsys, *(["--json"] if json_flag else []),
+                                         *line.split())
+                assert (code, err) == (0, "")
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, (line, json_flag)
+
+
+class TestClosedStdout:
+    """A reader that stops early, as `earring ... | head` does, ends the
+    command with exit 1 and nothing on stderr, not with a traceback."""
+
+    @pytest.mark.parametrize("json_flag", [False, True])
+    def test_pipe_closed_early(self, json_flag):
+        # about 3 MB of output, far past what a pipe buffers
+        argv = (["--json"] if json_flag else []) + ["witness", "--trace", "-2", "-1", "-2"]
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen([sys.executable, "-m", "earring.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+        assert head.startswith(b'{"command": "witness"' if json_flag else b"witness -2 -1 -2:")

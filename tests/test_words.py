@@ -1,10 +1,13 @@
+import gc
 import itertools
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from earring import words
+from earring.caching import reset_caches
 from earring.words import (
     anchor,
     anchor_index,
@@ -206,6 +209,26 @@ class TestWeightBound:
             with pytest.raises(ValueError, match=f"stops at weight {top}"):
                 far()
         assert words._firsts[-1] == last
+
+
+class TestClassTableReset:
+    def test_reset_caches_drops_the_class_table(self):
+        reset_caches()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index_of((words.MAX_WEIGHT - 1,))  # the heaviest word the index takes
+            grown = tracemalloc.get_traced_memory()[0] - before
+            reset_caches()
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown > 20 * 2**20
+        assert kept <= 2**20
+        assert (len(words._classes), words._firsts) == (0, [0])
+        assert nth_word(10) == (-3,) and index_of((-3,)) == 10
 
 
 class TestAnchor:
