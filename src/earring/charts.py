@@ -273,6 +273,8 @@ def atlas_check(samples: int, seed: int = 0, tol: float = 1e-12) -> AtlasReport:
     returns the point exactly, and within `tol` in planar coordinates;
     local inverses through overlapping charts agree; vertex-chart ranges
     are nested by level."""
+    if samples < 0:
+        raise ValueError("the sample count must be >= 0")
     rng = random.Random(seed)
     failures = []
     round_trips = 0

@@ -305,8 +305,7 @@ def _descend(v: Word) -> Optional["Vertex"]:
     for x in v[p:]:
         if x not in _LOW_LETTERS and abs(x) not in node.e_set:
             return None
-        kids = node._children
-        node = kids and kids.get(x) or node._child(x)
+        node = node._child(x)
     return node
 
 
@@ -380,7 +379,12 @@ class Vertex:
     {1, 2} is in every vertex's e_set.
 
     The vertices R[:n] of the zig-zag ray are made by `ray_vertex`, at any
-    depth in O(1); a node off the ray hangs below its parent."""
+    depth in O(1); a node off the ray hangs below its parent.
+
+    `_children` holds None, the only child (which knows its own letter),
+    or a dict letter -> child once the vertex branches: most vertices on a
+    path have one child, so most vertices are one object, not a node and
+    a table.  A child once made stays the same object."""
 
     __slots__ = ("parent", "letter", "depth", "ray_len", "run", "run_start",
                  "_hit", "_e_set", "_children")
@@ -454,17 +458,27 @@ class Vertex:
         return v
 
     def _child(self, letter: int) -> "Vertex":
+        """The child by `letter`, made on first request: the one place a
+        child is looked up or made."""
         kids = self._children
+        if kids.__class__ is dict:
+            node = kids.get(letter)
+            if node is not None:
+                return node
+        elif kids is not None and kids.letter == letter:
+            return kids
+        n = self.depth
+        if self.ray_len == n and letter == _ray_letter(n):
+            node = _ray(n + 1, self)
+        else:
+            node = Vertex(self, letter)
         if kids is None:
-            kids = self._children = {}
-        node = kids.get(letter)
-        if node is None:
-            n = self.depth
-            if self.ray_len == n and letter == _ray_letter(n):
-                node = _ray(n + 1, self)
-            else:
-                node = Vertex(self, letter)
+            self._children = node
+        elif kids.__class__ is dict:
             kids[letter] = node
+        else:
+            # a second child: the first keeps its object, now in a table
+            self._children = {kids.letter: kids, letter: node}
         return node
 
     def step(self, letter: int):

@@ -205,3 +205,9 @@ class TestAtlasCheck:
         a = atlas_check(60, seed=3)
         b = atlas_check(60, seed=3)
         assert a == b
+
+    def test_negative_sample_count_is_rejected(self):
+        with pytest.raises(ValueError):
+            atlas_check(-5)
+        report = atlas_check(0)
+        assert report.ok and report.samples == report.round_trips == 0

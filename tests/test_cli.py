@@ -347,6 +347,16 @@ class TestAtlasCheck:
         assert obj["output"]["failures"] == 0
         assert obj["output"]["round_trips"] >= 100
 
+    @pytest.mark.parametrize("json_flag", [True, False])
+    def test_negative_sample_count_is_an_error(self, capsys, json_flag):
+        argv = ("--json",) if json_flag else ()
+        code, out, err = run_cli(capsys, *argv, "atlas-check", "--samples", "-5")
+        assert code == 1
+        assert "sample count must be >= 0" in out + err
+        assert "round_trips" not in out
+        if json_flag:
+            assert json.loads(out)["status"] == "error"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

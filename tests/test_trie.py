@@ -2,8 +2,10 @@
 domains, and the memory a long lift takes."""
 
 import gc
+import random
 import tracemalloc
 import weakref
+from itertools import permutations
 
 import pytest
 
@@ -224,3 +226,85 @@ class TestMemoryScaling:
         assert len(cert.trace.steps) == 19_132
         assert cert.verdict is True
         assert peak <= 60 * 2**20
+
+
+def _walk(w):
+    """The vertex of the surviving word w, reached by stepping its letters
+    from the base point."""
+    v = base_vertex()
+    for letter in w:
+        kind, v = v.step(letter)
+        assert kind == "tree"
+    return v
+
+
+class TestChildSlot:
+    """A vertex keeps its only child in a slot and makes a table when a
+    second child arrives.  Every vertex stays one live object however it
+    is reached, and a path costs one object per vertex."""
+
+    def test_one_object_per_word(self):
+        reset_caches()
+        balls = [_ball((), 4, 4)]
+        for j in range(1, 11):
+            data = island_data(j)
+            for z in sorted(data.z_set):
+                balls.append(_ball(z, 3, data.level + 1))
+        count = 0
+        for ball in balls:
+            for w, v in ball.items():
+                assert Vertex.make(w) is v
+                assert _walk(w) is v
+                count += 1
+        assert count > 1_000
+
+    @pytest.mark.parametrize("word", [
+        (),                                 # the base point
+        (-1, 2),                            # off the ray and off every island
+        anchor(9),                          # a ray vertex with e_set {1, 2, 3}
+        anchor(9) + (3,),                   # the Z vertex off the ray
+        anchor(9) + (3, 3),                 # strictly on a line, s = 3
+    ])
+    def test_children_in_every_order(self, word):
+        for order in permutations((1, -1, 2, -2, 3, -3)):
+            reset_caches()
+            v = Vertex.make(word)
+            made = {}
+            for letter in order:
+                kind, u = v.step(letter)
+                if kind == "tree" and letter != -v.letter:
+                    made[letter] = u
+                # a child keeps its object once a sibling arrives
+                for x, child in made.items():
+                    assert v.step(x)[1] is child
+            assert len(made) >= 3
+            for x, child in made.items():
+                assert Vertex.make(word + (x,)) is child
+                assert child.parent is v
+                assert child.word == word + (x,)
+
+    def test_a_path_costs_one_object_per_vertex(self):
+        # a reduced word over a_1^{+-1}, a_2^{+-1} that leaves the ray at
+        # once: every letter is a tree step to a new vertex below the last
+        rng = random.Random(9)
+        w = [-1]
+        while len(w) < 100_000:
+            letter = rng.choice((1, -1, 2, -2))
+            if letter != -w[-1]:
+                w.append(letter)
+        w = tuple(w)
+        reset_caches()
+        gc.collect()
+        objects = len(gc.get_objects())
+        tracemalloc.start()
+        try:
+            end = lift_word(w).endpoint
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        gc.collect()
+        tracked = len(gc.get_objects()) - objects
+        assert end.depth == len(w) and end.ray_len == 0
+        assert size <= 160 * len(w)
+        assert tracked <= 1.1 * len(w)
+        reset_caches()
