@@ -2,13 +2,15 @@
 
 The environment variable EARRING_CACHE_BYTES bounds the graph's word
 index, the one table keyed by words (word -> trie vertex, or pruned).
-Its cost is an estimate, 128 bytes plus 8 per letter of each key; when
-the next entry would pass the cap the whole table is cleared, and 0
-keeps it empty.  Island data, the trie of visited vertices and the
-class table of the word enumeration are not bounded; ray vertices are
-registered weakly.  `reset_caches()` drops all of them.  Caches are
-transparent: every result is recomputable, so capping or disabling them
-never changes observable behavior.
+It is a whole number of bytes written in decimal digits, such as 65536;
+any other value makes `cache_limit` raise ValueError.  Its cost is an
+estimate, 128 bytes plus 8 per letter of each key; when the next entry
+would pass the cap the whole table is cleared, and 0 keeps it empty.
+Island data, the trie of visited vertices and the class table of the
+word enumeration are not bounded; ray vertices are registered weakly.
+`reset_caches()` drops all of them.  Caches are transparent: every
+result is recomputable, so capping or disabling them never changes
+observable behavior.
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ _resets: list = []
 def cache_limit() -> int:
     global _limit
     if _limit is None:
-        _limit = int(os.environ.get("EARRING_CACHE_BYTES", str(_DEFAULT_LIMIT)))
+        text = os.environ.get("EARRING_CACHE_BYTES", str(_DEFAULT_LIMIT))
+        if not text.strip().isdecimal():
+            raise ValueError(f"EARRING_CACHE_BYTES must be a whole number of bytes "
+                             f"in decimal digits, such as 65536, not {text!r}")
+        _limit = int(text)
     return _limit
 
 

@@ -4,23 +4,23 @@ inverses whose round trips certify the local-homeomorphism structure.
 
 Points downstairs are held symbolically as (circle index, parameter t)
 with t in (0, 1); t in {0, 1} is identified with the origin.  The planar
-embedding is used only for display and tolerance checks.
+embedding is used only for display and tolerance checks.  Points,
+edges, charts and the audit report are named tuples: they compare by
+value and are immutable.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph import Vertex, base_vertex
 
 
-@dataclass(frozen=True)
-class PointH:
-    """A point of the earring: the origin, or an interior point of the
-    i-th circle."""
+class PointH(NamedTuple):
+    """A point of the earring, as the named tuple (circle, t): the origin,
+    or an interior point of the i-th circle."""
 
     circle: Optional[int] = None   # None encodes the origin
     t: Optional[float] = None
@@ -57,23 +57,34 @@ def planar(p: PointH) -> tuple:
     return l_point(p.circle, p.t)
 
 
-@dataclass(frozen=True)
-class Edge:
-    """A directed edge upstairs, identified by its initial vertex and
-    positive label; tree edges run to the reduced product, loops stay."""
-
+class _EdgeFields(NamedTuple):
     base: Vertex
     label: int
     kind: str    # 'tree' or 'loop'
 
-    def __post_init__(self):
-        if self.label < 1:
+
+class Edge(_EdgeFields):
+    """A directed edge upstairs, identified by its initial vertex and
+    positive label; tree edges run to the reduced product, loops stay.
+    A named tuple that checks on construction that its kind is the one
+    the label forms at the base vertex."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: Vertex, label: int, kind: str):
+        if label < 1:
             raise ValueError("edge label must be a positive index")
-        expected = "tree" if self.label in self.base.e_set else "loop"
-        if self.kind != expected:
+        expected = "tree" if label in base.e_set else "loop"
+        if kind != expected:
             raise ValueError(
-                f"label {self.label} at this vertex forms a {expected} edge, not {self.kind}"
+                f"label {label} at this vertex forms a {expected} edge, not {kind}"
             )
+        return tuple.__new__(cls, (base, label, kind))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check its fields too
+        return cls(*iterable)
 
     @property
     def terminal(self) -> Vertex:
@@ -96,9 +107,9 @@ def edge_into(v: Vertex, label: int) -> Edge:
     return Edge(v, label, "loop")
 
 
-@dataclass(frozen=True)
-class PointHat:
-    """A point upstairs: a vertex, or an interior point of an edge."""
+class PointHat(NamedTuple):
+    """A point upstairs, as the named tuple (vertex, edge, t): a vertex,
+    or an interior point of an edge."""
 
     vertex: Optional[Vertex] = None
     edge: Optional[Edge] = None
@@ -124,11 +135,11 @@ def vertex_chart_level(v: Vertex) -> int:
     return max(2, max(v.e_set))
 
 
-@dataclass(frozen=True)
-class ChartId:
-    """An atlas chart: either the chart of one edge (range: one arc of
-    one circle) or the chart of one vertex (range: the small circles and
-    both end-arcs of the large ones)."""
+class ChartId(NamedTuple):
+    """An atlas chart, as the named tuple (tag, edge, owner): either the
+    chart of one edge (range: one arc of one circle) or the chart of one
+    vertex (range: the small circles and both end-arcs of the large
+    ones)."""
 
     tag: str                       # 'edge' or 'vertex'
     edge: Optional[Edge] = None
@@ -223,8 +234,7 @@ def local_inverse(c: ChartId, x: PointH) -> PointHat:
 
 # --- atlas self-check ------------------------------------------------------
 
-@dataclass(frozen=True)
-class AtlasReport:
+class AtlasReport(NamedTuple):
     samples: int
     round_trips: int
     overlaps: int

@@ -8,14 +8,14 @@ beta as one segment to the ray vertex of depth |beta|, lifts w letter by
 letter from there, and computes only the cancellation where beta^{-1}
 meets the end of that lift.  It takes time and memory O(|w|) at any
 index j; the letter-by-letter lift of beta . w . beta^{-1} is replayed
-only when `trace` is read.
+only when `trace` is read.  The certificate and the reports are named
+tuples: they compare by value and are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph import Vertex, base_vertex, island_data, ray_vertex
 from .lifting import LiftTrace, endpoint, in_k, lift_ray_inverse, lift_word
@@ -23,8 +23,7 @@ from .words import (RayPrefix, Word, anchor, anchor_length, check_word, format_w
                     index_of, invert, nth_word, reduce_word, weight)
 
 
-@dataclass(frozen=True)
-class ConjugationCertificate:
+class _CertificateFields(NamedTuple):
     word: Word                  # the essential input word
     j: int                      # its enumeration index
     beta: RayPrefix             # the conjugator (the anchor of index j)
@@ -32,6 +31,11 @@ class ConjugationCertificate:
     turn: Vertex                # the lift of beta . word . beta^{-1} ends at
     unwind: int                 # turn.word + R[:unwind]^{-1}
     verdict: bool               # endpoint differs from the base point
+
+
+class ConjugationCertificate(_CertificateFields):
+    """A named tuple of the witness's fields; the endpoint vertex and the
+    letter-by-letter trace are made on first read."""
 
     @cached_property
     def conjugate_endpoint(self) -> Vertex:
@@ -71,8 +75,7 @@ def witness_conjugator(w: Word) -> ConjugationCertificate:
     )
 
 
-@dataclass(frozen=True)
-class MidpointReport:
+class MidpointReport(NamedTuple):
     j: int
     records: tuple   # per letter: (letter, kind, lift word, agree)
     ok: bool
@@ -104,8 +107,7 @@ def midpoint_structure_check(cert: ConjugationCertificate) -> MidpointReport:
     return MidpointReport(cert.j, tuple(records), ok, stays)
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     j: int
     word: Word
     essential: bool
@@ -113,8 +115,7 @@ class ScanEntry:
     verdict: Optional[bool]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     max_weight: int
     entries: tuple
     checked: int

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count, cycle
 from typing import NamedTuple, Optional
@@ -45,20 +44,26 @@ def ray_agreement(w: Word) -> int:
 # off the ray.  The path walks |w_j| letters from the anchor, so ray_len is
 # within |w_j| of anchor_length(j) and every tail has at most |w_j| letters.
 
-@dataclass(frozen=True)
-class IslandData:
-    """Everything attached to enumeration index j: the word, its anchor,
-    the level n_j, and the anchored edge-path vertices.  The vertices are
-    kept as records; `anchor`, `z_path`, `z_set` and `z_info` spell them
-    out when asked for."""
-
+class _IslandFields(NamedTuple):
     j: int
     word: Word
-    level: int                      # n_j = max(2, max index in word)
+    level: int          # n_j = max(2, max index in word)
     anchor_len: int
-    path: tuple = field(repr=False)     # |word|+1 records, with repeats
-    records: tuple = field(repr=False)  # deduplicated, in word order
-    max_len: int = field(repr=False)    # longest edge-path vertex
+    path: tuple         # |word|+1 records, with repeats
+    records: tuple      # deduplicated, in word order
+    max_len: int        # longest edge-path vertex
+
+
+class IslandData(_IslandFields):
+    """Everything attached to enumeration index j: the word, its anchor,
+    the level n_j, and the anchored edge-path vertices.  A named tuple of
+    its fields; the vertices are kept as records, and `anchor`, `z_path`,
+    `z_set` and `z_info` spell them out on first read.  The repr leaves
+    out `path`, `records` and `max_len`."""
+
+    def __repr__(self):
+        return (f"IslandData(j={self.j!r}, word={self.word!r}, level={self.level!r}, "
+                f"anchor_len={self.anchor_len!r})")
 
     @cached_property
     def anchor(self) -> Word:
@@ -626,8 +631,7 @@ def formula_removes(v: Word, j: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     j: int
     radius: int
     examined: int

@@ -14,7 +14,6 @@ the zig-zag ray, or of its inverse, be lifted as one segment: see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -38,15 +37,16 @@ def _fold(w: Word, cur: Vertex, record=None) -> Vertex:
     return cur
 
 
-@dataclass(frozen=True)
-class LiftTrace:
-    """The lift of `word` from `start`.  The per-letter steps are made
-    only when `steps` is read, by replaying the lift with the same step
-    rule."""
-
+class _TraceFields(NamedTuple):
     start: Vertex
     word: Word
     endpoint: Vertex
+
+
+class LiftTrace(_TraceFields):
+    """The lift of `word` from `start`, a named tuple of start, word and
+    endpoint.  The per-letter steps are made only when `steps` is read,
+    by replaying the lift with the same step rule."""
 
     @cached_property
     def steps(self) -> tuple:

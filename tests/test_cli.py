@@ -12,6 +12,7 @@ import time
 import pytest
 
 from earring import cli, corefree, graph, lifting
+from earring.caching import reset_caches
 from earring.cli import main
 from earring.words import format_word, invert, nth_word, reduce_word, zigzag_prefix
 
@@ -445,6 +446,38 @@ class TestUsage:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True).stdout
         assert json.loads(out) == [False, False, False]
+
+    def test_import_leaves_dataclasses_and_inspect_out(self):
+        # the records are named tuples: dataclasses would also load inspect,
+        # ast and dis, a third of what a fresh interpreter pays to import
+        code = ("import json, sys, earring.cli; "
+                "print(json.dumps(['dataclasses' in sys.modules, 'inspect' in sys.modules]))")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert json.loads(out) == [False, False]
+
+    @pytest.mark.parametrize("value", ["1e6", "-5"])
+    @pytest.mark.parametrize("json_flag", [True, False])
+    def test_cache_bytes_not_a_byte_count(self, capsys, monkeypatch, value, json_flag):
+        monkeypatch.setenv("EARRING_CACHE_BYTES", value)
+        try:
+            # the cap is read again on the word index's next use
+            reset_caches()
+            code, out, err = run_cli(capsys, *(["--json"] if json_flag else []),
+                                     "survives", "1", "2")
+        finally:
+            monkeypatch.undo()
+            reset_caches()
+        message = ("EARRING_CACHE_BYTES must be a whole number of bytes in decimal "
+                   f"digits, such as 65536, not {value!r}")
+        assert code == 1
+        if json_flag:
+            obj = json.loads(out)
+            assert (obj["status"], obj["message"], err) == ("error", message, "")
+        else:
+            assert (out, err) == ("", f"survives: error: {message}\n")
 
 
 def reference_parser() -> argparse.ArgumentParser:
