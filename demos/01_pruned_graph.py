@@ -32,7 +32,7 @@ for n in (4, 40, 400):
 # anchor.  The ninth word is a_3; its island sits at anchor length 52 and
 # has level 3, so a_3 becomes a tree label there.
 d = island_data(9)
-print("w_9 =", format_word(d.word), "| anchor length", len(d.anchor), "| level", d.level)
+print("w_9 =", format_word(d.word), "| anchor length", d.anchor_len, "| level", d.level)
 print("e_set(anchor(9)) =", sorted(e_set(anchor(9))))
 
 v = reduce_word(anchor(9) + (3, 3))

@@ -16,6 +16,7 @@ import random
 from typing import NamedTuple, Optional
 
 from .graph import Vertex, base_vertex
+from .words import anchor
 
 
 class PointH(NamedTuple):
@@ -245,14 +246,12 @@ class AtlasReport(NamedTuple):
         return not self.failures
 
 
-def _random_vertex(rng: random.Random, max_steps: int = 25) -> Vertex:
+def _random_vertex(rng: random.Random) -> Vertex:
     v = base_vertex()
-    from .words import anchor
-    from .graph import Vertex as _V
     if rng.random() < 0.3:
         # start near an island to exercise high-label charts
-        v = _V.make(anchor(rng.randrange(1, 30)))
-    for _ in range(rng.randrange(max_steps)):
+        v = Vertex.make(anchor(rng.randrange(1, 30)))
+    for _ in range(rng.randrange(25)):
         labels = sorted(v.e_set)
         i = rng.choice(labels)
         v = v.step(i if rng.random() < 0.5 else -i)[1]

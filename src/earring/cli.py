@@ -22,7 +22,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import charts, corefree, graph, lifting, words
+from . import caching, charts, corefree, graph, lifting, words
 from .words import format_word, parse_word
 
 # The longest vertex the CLI spells out, and the most steps `witness
@@ -239,12 +239,6 @@ def _ev(args):
 @command("zpath", "anchored edge-path vertices of island j", ("j", int))
 def _zpath(args):
     data = graph.island_data(args.j)
-    letters = sum(rec[0] for rec in data.path)
-    if letters > MAX_LIFT_LETTERS:
-        _emit(args, {"input": str(args.j)}, "error",
-              f"the z_path of island {args.j} has {letters} letters, over the "
-              f"limit of {MAX_LIFT_LETTERS}")
-        return 1
     _emit(args, {"input": str(args.j), "word": format_word(data.word),
                  "anchor_length": data.anchor_len, "level": data.level,
                  "z_path": [_word_text(p, " ".join(map(str, tail)), 0, n)
@@ -310,14 +304,13 @@ def _scan(args):
     except ValueError as exc:
         _emit(args, {"input": str(args.max_weight)}, "error", str(exc))
         return 1
-    entries = [{"j": e.j, "word": format_word(e.word), "essential": e.essential,
-                "in_k": e.in_k, "verdict": e.verdict} for e in report.entries]
     payload = {"input": str(args.max_weight), "checked": report.checked,
-               "skipped": report.skipped}
-    if report.refused:
-        payload["refused"] = report.refused
-    payload["failures"] = len(report.failures)
-    payload["entries"] = entries if args.json else f"[{len(entries)} words]"
+               "skipped": report.skipped, "failures": len(report.failures)}
+    if args.json:
+        payload["entries"] = [{"j": e.j, "word": format_word(e.word), "essential": e.essential,
+                               "in_k": e.in_k, "verdict": e.verdict} for e in report.entries]
+    else:
+        payload["entries"] = f"[{len(report.entries)} words]"
     _emit(args, payload)
     return 0 if report.ok else 2
 
@@ -360,6 +353,9 @@ def main(argv: list | None = None) -> int:
         return 1
     try:
         try:
+            # every command refuses a bad EARRING_CACHE_BYTES, whether or
+            # not it reaches the word index
+            caching.cache_limit()
             if hasattr(args, "word"):
                 args.word = parse_word(" ".join(args.word))
                 args.wtext = format_word(args.word)

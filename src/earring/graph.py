@@ -55,37 +55,32 @@ class _IslandFields(NamedTuple):
 
 
 class IslandData(_IslandFields):
-    """Everything attached to enumeration index j: the word, its anchor,
-    the level n_j, and the anchored edge-path vertices.  A named tuple of
-    its fields; the vertices are kept as records, and `anchor`, `z_path`,
-    `z_set` and `z_info` spell them out on first read.  The repr leaves
-    out `path`, `records` and `max_len`."""
+    """Everything attached to enumeration index j: the word, the length
+    of its anchor, the level n_j, and the anchored edge-path vertices.  A
+    named tuple of its fields; the vertices are kept as records, and
+    `z_path` and `z_set` spell them out on first read.  A vertex's island
+    hit holds its island's data, so the data lives as long as the vertices
+    that located it.  The repr leaves out `path`, `records` and
+    `max_len`."""
 
     def __repr__(self):
         return (f"IslandData(j={self.j!r}, word={self.word!r}, level={self.level!r}, "
                 f"anchor_len={self.anchor_len!r})")
 
     @cached_property
-    def anchor(self) -> Word:
-        return zigzag_prefix(self.anchor_len)
-
-    @cached_property
-    def z_info(self) -> tuple:
-        """Per edge-path vertex, in word order: (word, len, ray agreement,
-        tail).  Line hits share these word tuples."""
-        return tuple((zigzag_prefix(p) + tail, n, p, tail) for n, p, tail in self.records)
-
-    @cached_property
     def z_path(self) -> tuple:
-        spelled = {rec: info[0] for rec, info in zip(self.records, self.z_info)}
+        spelled = {rec: zigzag_prefix(rec[1]) + rec[2] for rec in self.records}
         return tuple(spelled[rec] for rec in self.path)
 
     @cached_property
     def z_set(self) -> frozenset:
-        return frozenset(info[0] for info in self.z_info)
+        return frozenset(self.z_path)
 
 
-_islands: dict = {}  # j -> IslandData
+# j -> IslandData, a memo of recent builds for the repeats of one walk: it
+# is cleared whole when it reaches _ISLAND_MEMO entries
+_ISLAND_MEMO = 1024
+_islands: dict = {}
 
 
 def island_data(j: int) -> IslandData:
@@ -120,6 +115,8 @@ def island_data(j: int) -> IslandData:
     records = tuple(sorted(set(path), key=rest))
     data = IslandData(j, wj, level, path[0][0], tuple(path), records,
                       max(rec[0] for rec in records))
+    if len(_islands) >= _ISLAND_MEMO:
+        _islands.clear()
     _islands[j] = data
     return data
 
@@ -135,17 +132,19 @@ class IslandHit(NamedTuple):
     r: Optional[int] = None   # signed offset along the line
 
 
-# The island rule returns a compact hit (j, kind, s, k, r), with k the
-# index of u among the island's records: spelling u out costs |u|, and a
-# lift along the ray meets a line of every island it passes.
+# The island rule returns a compact hit (data, kind, s, k, r), with data
+# the island's IslandData and k the index of u among its records: spelling
+# u out costs |u|, and a lift along the ray meets a line of every island it
+# passes.
 
 def _certificate(found: Optional[tuple]) -> Optional[IslandHit]:
     if found is None:
         return None
-    j, kind, s, k, r = found
+    data, kind, s, k, r = found
     if kind == "Z":
-        return IslandHit(j, "Z")
-    return IslandHit(j, "L", s, island_data(j).z_info[k][0], r)
+        return IslandHit(data.j, "Z")
+    _, p, tail = data.records[k]
+    return IslandHit(data.j, "L", s, zigzag_prefix(p) + tail, r)
 
 
 def _suffix_run(w: Word) -> int:
@@ -169,7 +168,7 @@ def _match_island(data: IslandData, n: int, p: int, run: int, last: int,
     split = n - run
     for zlen, zp, ztail in data.records:
         if n == zlen and p == zp and mid + (last,) * (n - p - len(mid)) == ztail:
-            return (data.j, "Z", None, None, None)
+            return (data, "Z", None, None, None)
     for k, (zlen, zp, ztail) in enumerate(data.records):
         # v = reduce(z . a_s^r) iff past their longest common prefix z is a
         # run of some x and v a run of -x, within v's final run
@@ -195,7 +194,7 @@ def _match_island(data: IslandData, n: int, p: int, run: int, last: int,
         if letter is None or abs(letter) > data.level:
             continue
         r = (zlen - c) + (n - c)
-        return (data.j, "L", abs(letter), k, r if letter > 0 else -r)
+        return (data, "L", abs(letter), k, r if letter > 0 else -r)
     return None
 
 
@@ -243,7 +242,7 @@ def island_of(v: Word) -> Optional[int]:
     on no island: every island vertex survives the pruning."""
     node = _vertex_of(v)
     hit = node and node._compact_hit
-    return hit[0] if hit else None
+    return hit[0].j if hit else None
 
 
 def in_line(v: Word, u: Word, s: int) -> Optional[int]:
@@ -273,14 +272,14 @@ _label_sets: dict = {}
 
 
 def _labels(hit: Optional[tuple]) -> frozenset:
-    """Labels of the tree edges at a surviving vertex with island hit
-    (j, kind, s, ...), an IslandHit or a compact one: {1,2} off-island,
-    {1..n_j} on the anchored edge-path, {1,2,s} strictly on a line.  One
-    shared set per distinct value."""
+    """Labels of the tree edges at a surviving vertex with compact island
+    hit (data, kind, s, ...): {1,2} off-island, {1..n_j} on the anchored
+    edge-path, {1,2,s} strictly on a line.  One shared set per distinct
+    value."""
     if hit is None:
         key = (1, 2)
     elif hit[1] == "Z":
-        key = tuple(range(1, island_data(hit[0]).level + 1))
+        key = tuple(range(1, hit[0].level + 1))
     else:
         key = (1, 2, hit[2])
     labels = _label_sets.get(key)
@@ -444,7 +443,7 @@ class Vertex:
 
     @property
     def _compact_hit(self) -> Optional[tuple]:
-        """The island hit (j, kind, s, k, r) that `hit` spells out."""
+        """The island hit (data, kind, s, k, r) that `hit` spells out."""
         if self._e_set is None:
             self._classify()
         return self._hit
@@ -643,19 +642,19 @@ class CrossCheckReport(NamedTuple):
         return not self.disagreements
 
 
-def removal_cross_check(j: int, radius: int, line_extent: Optional[int] = None) -> CrossCheckReport:
+def removal_cross_check(j: int, radius: int) -> CrossCheckReport:
     """Compare the closed-form pattern with the prose rule (remove the
     distance-1 neighbors of the island not connected by an a_1/a_2 edge,
     then everything they separate) on all reduced words within the given
-    edge-distance of a bounded sample of island vertices."""
+    edge-distance of a bounded sample of island vertices: the edge-path,
+    and each line through it out to radius + 2 steps."""
     if j < 1 or radius < 1:
         raise ValueError("island index and radius must be >= 1")
     data = island_data(j)
-    extent = line_extent if line_extent is not None else radius + 2
     sample = set(data.z_set)
     for z in data.z_set:
         for s in range(1, data.level + 1):
-            for r in range(1, extent + 1):
+            for r in range(1, radius + 3):
                 sample.add(reduce_word(z + (s,) * r))
                 sample.add(reduce_word(z + (-s,) * r))
     kmax = data.level + 2

@@ -81,18 +81,31 @@ class TestZpath:
         assert obj["output"]["z_path"] == ["1 2 1 2", "1 2 1 2 1"]
         assert obj["output"]["level"] == 2
 
+    # island 41,501,135 is the word a_12, whose two edge-path vertices have
+    # 777,124,938 and 777,124,939 letters; the 27 of island 4 * 10^39 are
+    # its anchor, of about 2.5 * 10^41 letters, and each prefix of its word
+    FAR_PATHS = {
+        "41501135": ["ray[777124938]", "ray[777124938] 12"],
+        "4000000000000000000000000000000000000000": [
+            ("ray[248964584709222323315408525758972417599558] "
+             + " ".join("-11 -8 -13 -3 9 3 11 3 -9 -9 15 6 6 15 4 4 -12 -1 -4 -9 -1 8 -3 5 -4 -9"
+                        .split()[:i])).rstrip()
+            for i in range(27)],
+    }
+
     @pytest.mark.parametrize("json_flag", [True, False])
-    def test_too_long_path_is_refused_quickly(self, capsys, json_flag):
-        # island 41,501,135 (the word a_12) has two edge-path vertices of
-        # 777,124,938 and 777,124,939 letters
+    @pytest.mark.parametrize("j", list(FAR_PATHS))
+    def test_far_path_is_answered_quickly(self, capsys, json_flag, j):
+        # a vertex past MAX_LIFT_LETTERS is written in the compact form
         argv = ["--json"] if json_flag else []
         t0 = time.perf_counter()
-        code, out, err = run_cli(capsys, *argv, "zpath", "41501135")
+        code, out, err = run_cli(capsys, *argv, "zpath", j)
         assert time.perf_counter() - t0 < 1
-        assert code == 1
-        assert "has 1554249877 letters" in out + err
+        assert (code, err) == (0, "")
         if json_flag:
-            assert json.loads(out)["status"] == "error"
+            assert json.loads(out)["output"]["z_path"] == self.FAR_PATHS[j]
+        else:
+            assert out.endswith(f" z_path={self.FAR_PATHS[j]}\n")
 
 
 class TestCrosscheck:
@@ -458,15 +471,19 @@ class TestUsage:
                              env=env, check=True).stdout
         assert json.loads(out) == [False, False]
 
-    @pytest.mark.parametrize("value", ["1e6", "-5"])
+    # every command refuses it, whether or not it reaches the word index
+    @pytest.mark.parametrize("value, argv", [
+        pytest.param(value, argv, id=value if argv[0] == "survives" else f"{value}-{argv[0]}")
+        for value in ("1e6", "-5")
+        for argv in (["survives", "1", "2"], ["witness", "3"], ["zpath", "9"], ["in-k", "3"],
+                     ["crosscheck", "9", "2"], ["scan", "--max-weight", "3"])])
     @pytest.mark.parametrize("json_flag", [True, False])
-    def test_cache_bytes_not_a_byte_count(self, capsys, monkeypatch, value, json_flag):
+    def test_cache_bytes_not_a_byte_count(self, capsys, monkeypatch, value, argv, json_flag):
         monkeypatch.setenv("EARRING_CACHE_BYTES", value)
         try:
-            # the cap is read again on the word index's next use
+            # the cap is read again on its next use
             reset_caches()
-            code, out, err = run_cli(capsys, *(["--json"] if json_flag else []),
-                                     "survives", "1", "2")
+            code, out, err = run_cli(capsys, *(["--json"] if json_flag else []), *argv)
         finally:
             monkeypatch.undo()
             reset_caches()
@@ -477,7 +494,7 @@ class TestUsage:
             obj = json.loads(out)
             assert (obj["status"], obj["message"], err) == ("error", message, "")
         else:
-            assert (out, err) == ("", f"survives: error: {message}\n")
+            assert (out, err) == ("", f"{argv[0]}: error: {message}\n")
 
 
 def reference_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,9 @@ from itertools import permutations
 import pytest
 
 from earring.caching import reset_caches
-from earring.corefree import witness_conjugator
+from earring.corefree import core_free_scan, witness_conjugator
 from earring.graph import (
+    IslandData,
     Vertex,
     base_vertex,
     classify,
@@ -226,6 +227,15 @@ class TestMemoryScaling:
         assert len(cert.trace.steps) == 19_132
         assert cert.verdict is True
         assert peak <= 60 * 2**20
+
+    def test_island_data_is_held_by_its_users(self):
+        # the weight-7 scan locates 1,537 islands; the memo of recent builds
+        # is cleared whole at 1,024 entries, and the rest is held by the
+        # vertices whose hits located it
+        reset_caches()
+        core_free_scan(7)
+        gc.collect()
+        assert sum(isinstance(o, IslandData) for o in gc.get_objects()) <= 1_024
 
 
 def _walk(w):
