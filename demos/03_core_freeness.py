@@ -25,7 +25,7 @@ print("midpoint is anchor:", cert.midpoint.word == cert.beta)
 print("middle segment structure ok:", report.ok,
       "| stays on island:", report.stays_on_island)
 for letter, kind, at, agree in report.records:
-    print(f"  letter {letter:3} {kind:4} -> {format_word(at)}  [{'ok' if agree else 'MISMATCH'}]")
+    print(f"  letter {letter:3} {kind:4} -> {format_word(at.word)}  [{'ok' if agree else 'MISMATCH'}]")
 
 # Sweep every essential word of small weight: each one gets a certificate.
 scan = core_free_scan(4)

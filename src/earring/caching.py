@@ -35,14 +35,13 @@ def cache_limit() -> int:
     return _limit
 
 
-def reset_caches(limit: int | None = None) -> None:
-    """Drop everything registered with `on_reset`.  With `limit` given,
-    pin the byte cap; otherwise it is re-read from the environment on
-    next use."""
+def reset_caches() -> None:
+    """Drop everything registered with `on_reset`; the byte cap is read
+    again from the environment on its next use."""
     global _limit
     for fn in _resets:
         fn()
-    _limit = limit
+    _limit = None
 
 
 def on_reset(fn):

@@ -76,8 +76,12 @@ def witness_conjugator(w: Word) -> ConjugationCertificate:
 
 
 class MidpointReport(NamedTuple):
+    """The middle segment of a witness's lift, one record per letter of
+    the word: (letter, kind, the vertex after the step, agree).  A record
+    holds the vertex, which spells its word only when `.word` is read."""
+
     j: int
-    records: tuple   # per letter: (letter, kind, lift word, agree)
+    records: tuple
     ok: bool
     stays_on_island: bool
 
@@ -85,25 +89,29 @@ class MidpointReport(NamedTuple):
 def midpoint_structure_check(cert: ConjugationCertificate) -> MidpointReport:
     """Verify that the middle segment of the certificate's lift follows
     the island's anchored edge-path vertex for vertex, and never leaves
-    the island before the conjugator unwinds."""
+    the island before the conjugator unwinds.  A vertex is compared by its
+    record (depth, ray agreement, tail) and never spelled: no letter of
+    the ray prefix R[:|beta|] is read, so the check answers at any index."""
     data = island_data(cert.j)
     middle = lift_word(cert.word, start=cert.midpoint)
     records = []
     ok = True
     stays = True
-    prev = cert.midpoint.word
+    prev = cert.midpoint
     for i, step in enumerate(middle.steps):
+        at = step.at
         if abs(step.letter) <= data.level:
             # on-island label: must be a tree step onto the edge-path vertex
-            agree = step.kind == "tree" and step.at.word == data.z_path[i + 1]
+            agree = (step.kind == "tree"
+                     and (at.depth, at.ray_len, at.tail) == data.path[i + 1])
         else:
-            agree = step.kind == "loop" and step.at.word == prev
+            agree = step.kind == "loop" and at == prev
         ok = ok and agree
-        hit = step.at.hit
+        hit = at.hit
         if hit is None or hit.j != cert.j:
             stays = False
-        records.append((step.letter, step.kind, step.at.word, agree))
-        prev = step.at.word
+        records.append((step.letter, step.kind, at, agree))
+        prev = at
     return MidpointReport(cert.j, tuple(records), ok, stays)
 
 
@@ -121,7 +129,6 @@ class ScanReport(NamedTuple):
     checked: int
     skipped: int
     failures: tuple
-    refused: int = 0  # no witness is refused; kept for readers of the report
 
     @property
     def ok(self) -> bool:

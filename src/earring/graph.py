@@ -122,29 +122,29 @@ def island_data(j: int) -> IslandData:
 
 
 class IslandHit(NamedTuple):
-    """Membership certificate: v lies in island j, either on the anchored
-    edge-path (kind 'Z') or strictly on a line through it (kind 'L')."""
+    """Membership certificate: v lies in island `j`, either on the
+    anchored edge-path (kind 'Z') or strictly on a line through it (kind
+    'L'), v = reduce(u . a_s^r).  The hit holds its island's data and the
+    index k of u among `data.records`; `u` is spelled only when read,
+    since it has about anchor_length(j) letters."""
 
-    j: int
+    data: IslandData
     kind: str                 # 'Z' or 'L'
     s: Optional[int] = None   # line direction for kind 'L'
-    u: Optional[Word] = None  # line base vertex for kind 'L'
+    k: Optional[int] = None   # index of the line base u in data.records
     r: Optional[int] = None   # signed offset along the line
 
+    @property
+    def j(self) -> int:
+        return self.data.j
 
-# The island rule returns a compact hit (data, kind, s, k, r), with data
-# the island's IslandData and k the index of u among its records: spelling
-# u out costs |u|, and a lift along the ray meets a line of every island it
-# passes.
-
-def _certificate(found: Optional[tuple]) -> Optional[IslandHit]:
-    if found is None:
-        return None
-    data, kind, s, k, r = found
-    if kind == "Z":
-        return IslandHit(data.j, "Z")
-    _, p, tail = data.records[k]
-    return IslandHit(data.j, "L", s, zigzag_prefix(p) + tail, r)
+    @property
+    def u(self) -> Optional[Word]:
+        """The line base vertex for kind 'L', spelled; None for kind 'Z'."""
+        if self.k is None:
+            return None
+        _, p, tail = self.data.records[self.k]
+        return zigzag_prefix(p) + tail
 
 
 def _suffix_run(w: Word) -> int:
@@ -160,7 +160,7 @@ def _suffix_run(w: Word) -> int:
 
 
 def _match_island(data: IslandData, n: int, p: int, run: int, last: int,
-                  mid: Word) -> Optional[tuple]:
+                  mid: Word) -> Optional[IslandHit]:
     """Island membership of v in island j = data.j, where v has length n,
     ray agreement p, and ends in a run of `run` letters `last`, and mid is
     v[p:n-run].  Only letters of v from min(p, z's ray agreement) onward
@@ -168,7 +168,7 @@ def _match_island(data: IslandData, n: int, p: int, run: int, last: int,
     split = n - run
     for zlen, zp, ztail in data.records:
         if n == zlen and p == zp and mid + (last,) * (n - p - len(mid)) == ztail:
-            return (data, "Z", None, None, None)
+            return IslandHit(data, "Z")
     for k, (zlen, zp, ztail) in enumerate(data.records):
         # v = reduce(z . a_s^r) iff past their longest common prefix z is a
         # run of some x and v a run of -x, within v's final run
@@ -194,12 +194,12 @@ def _match_island(data: IslandData, n: int, p: int, run: int, last: int,
         if letter is None or abs(letter) > data.level:
             continue
         r = (zlen - c) + (n - c)
-        return (data, "L", abs(letter), k, r if letter > 0 else -r)
+        return IslandHit(data, "L", abs(letter), k, r if letter > 0 else -r)
     return None
 
 
-def _locate(n: int, p: int, run: int, last: int, middle) -> Optional[tuple]:
-    """Compact island hit of the reduced word v of length n with ray
+def _locate(n: int, p: int, run: int, last: int, middle) -> Optional[IslandHit]:
+    """Island hit of the reduced word v of length n with ray
     agreement p, whose final constant-letter run has `run` letters
     `last`; middle() gives v[p:n-run].  The word rule behind `classify`
     and the trie rule behind `Vertex` both come here."""
@@ -234,15 +234,15 @@ def classify(v: Word) -> Optional[IslandHit]:
     n = len(v)
     p = ray_agreement(v)
     run = _suffix_run(v)
-    return _certificate(_locate(n, p, run, v[-1], lambda: v[p:n - run]))
+    return _locate(n, p, run, v[-1], lambda: v[p:n - run])
 
 
 def island_of(v: Word) -> Optional[int]:
     """The unique island index containing v, or None.  A pruned word lies
     on no island: every island vertex survives the pruning."""
     node = _vertex_of(v)
-    hit = node and node._compact_hit
-    return hit[0].j if hit else None
+    hit = node and node.hit
+    return hit.j if hit else None
 
 
 def in_line(v: Word, u: Word, s: int) -> Optional[int]:
@@ -271,17 +271,16 @@ def in_line(v: Word, u: Word, s: int) -> Optional[int]:
 _label_sets: dict = {}
 
 
-def _labels(hit: Optional[tuple]) -> frozenset:
-    """Labels of the tree edges at a surviving vertex with compact island
-    hit (data, kind, s, ...): {1,2} off-island, {1..n_j} on the anchored
-    edge-path, {1,2,s} strictly on a line.  One shared set per distinct
-    value."""
+def _labels(hit: Optional[IslandHit]) -> frozenset:
+    """Labels of the tree edges at a surviving vertex with island hit
+    `hit`: {1,2} off-island, {1..n_j} on the anchored edge-path, {1,2,s}
+    strictly on a line.  One shared set per distinct value."""
     if hit is None:
         key = (1, 2)
-    elif hit[1] == "Z":
-        key = tuple(range(1, hit[0].level + 1))
+    elif hit.kind == "Z":
+        key = tuple(range(1, hit.data.level + 1))
     else:
-        key = (1, 2, hit[2])
+        key = (1, 2, hit.s)
     labels = _label_sets.get(key)
     if labels is None:
         labels = _label_sets[key] = frozenset(key)
@@ -417,9 +416,9 @@ class Vertex:
             self._e_set = None
 
     def _classify(self) -> frozenset:
-        """Locate the island, store the compact hit and its labels, and
-        return the labels.  Both depend on the word alone, so this runs
-        at most once per node."""
+        """Locate the island, store the hit and its labels, and return the
+        labels.  Both depend on the word alone, so this runs at most once
+        per node."""
         start, p = self.run_start, self.ray_len
         self._hit = hit = _locate(self.depth, p, self.run, self.letter,
                                   lambda: _letters(start, p) if start is not None else ())
@@ -442,16 +441,11 @@ class Vertex:
         return zigzag_prefix(self.ray_len) + self.tail
 
     @property
-    def _compact_hit(self) -> Optional[tuple]:
-        """The island hit (data, kind, s, k, r) that `hit` spells out."""
+    def hit(self) -> Optional[IslandHit]:
+        """Island membership certificate, as `classify` gives it."""
         if self._e_set is None:
             self._classify()
         return self._hit
-
-    @property
-    def hit(self) -> Optional[IslandHit]:
-        """Island membership certificate, as `classify` gives it."""
-        return _certificate(self._compact_hit)
 
     @staticmethod
     def make(word: Word) -> "Vertex":

@@ -333,13 +333,15 @@ def test_criterion_8(warm, capsys):
     _report(capsys, 8, ok, f"atlas check 1000 samples, {r['round_trips']} round trips, {r['overlaps']} overlaps, failures={r['failures']} [{secs}s]")
 
 
-def test_criterion_9(warm, capsys):
-    reset_caches(limit=0)
+def test_criterion_9(warm, capsys, monkeypatch):
+    monkeypatch.setenv("EARRING_CACHE_BYTES", "0")
     try:
+        reset_caches()
         start = time.monotonic()
         cold = _run_all()
         secs = round(time.monotonic() - start, 2)
     finally:
+        monkeypatch.undo()
         reset_caches()
     diffs = [n for n in CRITERIA if cold[n][0] != warm[n][0]]
     ok = not diffs

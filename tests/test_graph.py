@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,10 +16,11 @@ from earring.graph import (
     island_of,
     neighbor,
     ray_agreement,
+    ray_vertex,
     removal_cross_check,
     survives,
 )
-from earring.words import anchor, invert, nth_word, reduce_word
+from earring.words import anchor, anchor_length, invert, nth_word, reduce_word
 
 
 class TestIslandData:
@@ -290,6 +293,40 @@ class TestIslandOfAgainstClassify:
         assert len(words) > 10_000 and pruned > 6_000
 
 
+class TestIslandHit:
+    def test_hits_against_definitions(self):
+        # a Z hit's word is on the edge-path; an L hit's word is
+        # reduce(u . a_s^r) by the definitional line test, off the path
+        words = _near_islands(20, 2)
+        kinds = {"Z": 0, "L": 0}
+        for w in words:
+            hit = classify(w)
+            if hit is None:
+                continue
+            kinds[hit.kind] += 1
+            zset = hit.data.z_set
+            if hit.kind == "Z":
+                assert w in zset and hit.u is None
+            else:
+                assert hit.u in zset and w not in zset
+                assert hit.s <= hit.data.level
+                assert in_line(w, hit.u, hit.s) == hit.r
+        assert len(words) == 10_049
+        assert kinds == {"Z": 51, "L": 600}
+
+    def test_far_line_hit_answers_quickly(self):
+        # R[:n] a_12 a_12 with n = 777,124,938: the hit names its line base
+        # by its record; reading hit.u would spell n letters
+        t0 = time.perf_counter()
+        j = 41_501_135
+        n = anchor_length(j)
+        v = ray_vertex(n).step(12)[1].step(12)[1]
+        hit = v.hit
+        assert (hit.j, hit.kind, hit.s, hit.r) == (j, "L", 12, 2)
+        assert hit.data.records[hit.k] == (n, n, ())
+        assert time.perf_counter() - t0 < 1
+
+
 def _queries(words):
     """The answers of the four word entry points, pruned words included."""
     out = []
@@ -321,13 +358,14 @@ class TestCacheContract:
                 words += [reduce_word(a[:len(a) - cut] + t) for t in tails]
         return list(dict.fromkeys(words))
 
-    def test_capped_index_stays_under_cap(self):
+    def test_capped_index_stays_under_cap(self, monkeypatch):
         words = self._words()
         assert len(words) >= 2_000
         try:
             reset_caches()
             expected = _queries(words)
-            reset_caches(limit=self.CAP)
+            monkeypatch.setenv("EARRING_CACHE_BYTES", str(self.CAP))
+            reset_caches()
             costs = 0
             for w, want in zip(words, expected):
                 assert _queries([w]) == [want]
@@ -337,17 +375,20 @@ class TestCacheContract:
             # the index was cleared many times over
             assert costs > 10 * self.CAP
         finally:
+            monkeypatch.undo()
             reset_caches()
 
-    def test_zero_cap_keeps_index_empty(self):
+    def test_zero_cap_keeps_index_empty(self, monkeypatch):
         words = self._words()[:300]
         try:
             reset_caches()
             expected = _queries(words)
-            reset_caches(limit=0)
+            monkeypatch.setenv("EARRING_CACHE_BYTES", "0")
+            reset_caches()
             assert _queries(words) == expected
             assert graph._index == {} and graph._index_bytes == 0
         finally:
+            monkeypatch.undo()
             reset_caches()
 
 

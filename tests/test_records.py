@@ -14,12 +14,25 @@ from earring.lifting import lift_word
 
 
 def test_reprs_are_pinned():
-    # the reprs the reports had as frozen dataclasses; IslandData's leaves
-    # out path, records and max_len
-    text = (repr(core_free_scan(4)) + repr(atlas_check(50, seed=1))
-            + repr(removal_cross_check(9, 2)) + repr(island_data(9))
-            + repr(midpoint_structure_check(witness_conjugator((3,)))))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "43e713cf8f2cf239"
+    # the reprs the reports had as frozen dataclasses, one pin per record,
+    # so a record that moves names itself; IslandData's leaves out path,
+    # records and max_len, and a midpoint record shows its vertex's word
+    reports = {
+        "scan": core_free_scan(4),
+        "atlas": atlas_check(50, seed=1),
+        "crosscheck": removal_cross_check(9, 2),
+        "island_data": island_data(9),
+        "midpoint": midpoint_structure_check(witness_conjugator((3,))),
+    }
+    digests = {name: hashlib.sha256(repr(r).encode()).hexdigest()[:16]
+               for name, r in reports.items()}
+    assert digests == {
+        "scan": "6428bfcf490fd612",
+        "atlas": "9cedee3190cc5f47",
+        "crosscheck": "2e4ae5c11bfade29",
+        "island_data": "44b7ef50f5fa25d1",
+        "midpoint": "82af0d5a9d6d6681",
+    }
 
 
 def test_certificates_of_one_word_are_equal():
@@ -46,7 +59,7 @@ def test_keywords_defaults_and_positions():
     p = PointHat(edge=e, t=0.5)
     assert p == PointHat.on_edge(e, 0.5) and p.vertex is None
     report = ScanReport(max_weight=2, entries=(), checked=0, skipped=0, failures=())
-    assert report.refused == 0 and report.ok
+    assert report.ok
     circle, t = PointH.on_circle(3, 0.5)
     assert (circle, t) == (3, 0.5)
 

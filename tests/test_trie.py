@@ -110,11 +110,13 @@ def _ball_domains():
 
 
 @pytest.fixture
-def cache_off():
-    reset_caches(limit=0)
+def cache_off(monkeypatch):
+    monkeypatch.setenv("EARRING_CACHE_BYTES", "0")
     try:
+        reset_caches()
         yield
     finally:
+        monkeypatch.undo()
         reset_caches()
 
 
