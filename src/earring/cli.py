@@ -23,16 +23,7 @@ import sys
 from types import SimpleNamespace
 
 from . import caching, charts, corefree, graph, lifting, words
-from .words import format_word, parse_word
-
-# The longest vertex the CLI spells out, and the most steps `witness
-# --trace` prints.  A witness itself takes O(|w|) time and memory at any
-# index, so this bounds only the output: a longer vertex is printed in the
-# compact form `ray[p] <letters> ray[m]^-1`, the ray prefix R[:p], the
-# letters past it, and the inverse of a ray prefix R[:m].  The witness of
-# a_12 (j = 41,501,135) has vertices of 777,124,938 and 1,554,249,877
-# letters.
-MAX_LIFT_LETTERS = 2 ** 22
+from .words import format_ray_word, format_word, parse_word
 
 # name -> (help line, arguments, options, handler), in help order
 COMMANDS: dict = {}
@@ -158,23 +149,10 @@ def _emit(args, payload, status="ok", message=None):
             print(f"{command} {payload.get('input', '')}: " + " ".join(parts))
 
 
-def _word_text(p: int, tail: str, m: int, letters: int) -> str:
-    """The word R[:p] + tail + R[:m]^{-1} of `letters` letters, R = a_1 a_2
-    a_1 ... the zig-zag ray and tail the text of the letters between ("" for
-    none), written as format_word writes it, or in the compact form when it
-    has more than MAX_LIFT_LETTERS letters.  Each ray run is written as one
-    repeated block of text, never letter by letter."""
-    if letters > MAX_LIFT_LETTERS:
-        ray, back = f"ray[{p}] " * (p > 0), f"ray[{m}]^-1 " * (m > 0)
-    else:
-        ray, back = "1 2 " * (p // 2) + "1 " * (p % 2), "-1 " * (m % 2) + "-2 -1 " * (m // 2)
-    return (ray + tail + " " * (tail != "") + back)[:-1] or "e"
-
-
 def _vertex_text(v, unwind: int = 0) -> str:
     """The word v.word + R[:unwind]^{-1}; only v's letters past the ray are
     read from v."""
-    return _word_text(v.ray_len, " ".join(map(str, v.tail)), unwind, v.depth + unwind)
+    return format_ray_word(v.ray_len, " ".join(map(str, v.tail)), unwind, v.depth + unwind)
 
 
 def _trace(trace):
@@ -191,7 +169,7 @@ def _trace(trace):
         elif s.at.depth < p + len(tail):
             tail.pop()
         yield {"letter": s.letter, "kind": s.kind,
-               "vertex": _word_text(p, " ".join(tail), 0, s.at.depth)}
+               "vertex": format_ray_word(p, " ".join(tail), 0, s.at.depth)}
 
 
 def _point_spec(spec: str):
@@ -241,7 +219,7 @@ def _zpath(args):
     data = graph.island_data(args.j)
     _emit(args, {"input": str(args.j), "word": format_word(data.word),
                  "anchor_length": data.anchor_len, "level": data.level,
-                 "z_path": [_word_text(p, " ".join(map(str, tail)), 0, n)
+                 "z_path": [format_ray_word(p, " ".join(map(str, tail)), 0, n)
                             for n, p, tail in data.path]})
 
 
@@ -284,10 +262,10 @@ def _witness(args):
         _emit(args, {"input": args.wtext}, "error", str(exc))
         return 1
     steps = 2 * cert.beta.length + len(args.word)
-    if args.trace and steps > MAX_LIFT_LETTERS:
+    if args.trace and steps > words.MAX_LIFT_LETTERS:
         _emit(args, {"input": args.wtext}, "error",
               f"the lift of beta w beta^-1 has {steps} steps; --trace prints "
-              f"at most {MAX_LIFT_LETTERS}")
+              f"at most {words.MAX_LIFT_LETTERS}")
         return 1
     payload = {"input": args.wtext, "j": cert.j, "beta_length": cert.beta.length,
                "midpoint": _vertex_text(cert.midpoint),

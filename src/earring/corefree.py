@@ -97,21 +97,16 @@ def midpoint_structure_check(cert: ConjugationCertificate) -> MidpointReport:
     records = []
     ok = True
     stays = True
-    prev = cert.midpoint
     for i, step in enumerate(middle.steps):
         at = step.at
-        if abs(step.letter) <= data.level:
-            # on-island label: must be a tree step onto the edge-path vertex
-            agree = (step.kind == "tree"
-                     and (at.depth, at.ray_len, at.tail) == data.path[i + 1])
-        else:
-            agree = step.kind == "loop" and at == prev
+        # every letter of w is an island label, as n_j = max(2, max index
+        # in w): each step must be a tree step onto the edge-path vertex
+        agree = step.kind == "tree" and (at.depth, at.ray_len, at.tail) == data.path[i + 1]
         ok = ok and agree
         hit = at.hit
         if hit is None or hit.j != cert.j:
             stays = False
         records.append((step.letter, step.kind, at, agree))
-        prev = at
     return MidpointReport(cert.j, tuple(records), ok, stays)
 
 

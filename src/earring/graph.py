@@ -21,6 +21,7 @@ from .words import (
     anchor_index,
     anchor_length,
     check_word,
+    format_ray_word,
     invert,
     is_reduced,
     nth_word,
@@ -43,6 +44,7 @@ def ray_agreement(w: Word) -> int:
 # z = R[:ray_len] + tail, with R the zig-zag ray and tail empty or starting
 # off the ray.  The path walks |w_j| letters from the anchor, so ray_len is
 # within |w_j| of anchor_length(j) and every tail has at most |w_j| letters.
+# A word has one record, so records are equal exactly when their words are.
 
 class _IslandFields(NamedTuple):
     j: int
@@ -58,14 +60,20 @@ class IslandData(_IslandFields):
     """Everything attached to enumeration index j: the word, the length
     of its anchor, the level n_j, and the anchored edge-path vertices.  A
     named tuple of its fields; the vertices are kept as records, and
-    `z_path` and `z_set` spell them out on first read.  A vertex's island
-    hit holds its island's data, so the data lives as long as the vertices
-    that located it.  The repr leaves out `path`, `records` and
+    `z_path` and `z_set` spell them out on first read.  `bases` strips
+    each record of its final run on the first line test.  A vertex's
+    island hit holds its island's data, so the data lives as long as the
+    vertices that located it.  The repr leaves out `path`, `records` and
     `max_len`."""
 
     def __repr__(self):
         return (f"IslandData(j={self.j!r}, word={self.word!r}, level={self.level!r}, "
                 f"anchor_len={self.anchor_len!r})")
+
+    @cached_property
+    def bases(self) -> tuple:
+        """(s, b, base) per record, by `_strip`."""
+        return tuple(map(_strip, self.records))
 
     @cached_property
     def z_path(self) -> tuple:
@@ -75,6 +83,30 @@ class IslandData(_IslandFields):
     @cached_property
     def z_set(self) -> frozenset:
         return frozenset(self.z_path)
+
+
+def _suffix_run(w: Word) -> int:
+    """Length of the maximal constant-letter suffix run of w."""
+    if not w:
+        return 0
+    last = w[-1]
+    n = len(w)
+    r = 1
+    while r < n and w[n - 1 - r] == last:
+        r += 1
+    return r
+
+
+def _strip(rec: tuple) -> tuple:
+    """(s, b, base) for the edge-path vertex z with record rec: z = base .
+    a_s^b, b signed, and base, also a record, does not end in a_s^{+-1}.
+    The ray alternates, so z's final run reaches at most one letter back
+    into it."""
+    n, p, tail = rec
+    w = ray_run(max(p - 1, 0), p) + tail
+    run = _suffix_run(w)
+    m = n - run
+    return abs(w[-1]), run if w[-1] > 0 else -run, (m, min(p, m), tail[:max(0, m - p)])
 
 
 # j -> IslandData, a memo of recent builds for the repeats of one walk: it
@@ -106,11 +138,11 @@ def island_data(j: int) -> IslandData:
             tail = (x,)
         n = p + len(tail)
         path.append((n, p, tail))
-    # every record starts with R[:base], so the rest orders them as words
-    base = min(rec[1] for rec in path)
+    # every record starts with R[:common], so the rest orders them as words
+    common = min(rec[1] for rec in path)
 
     def rest(rec):
-        return ray_run(base, rec[1]) + rec[2]
+        return ray_run(common, rec[1]) + rec[2]
 
     records = tuple(sorted(set(path), key=rest))
     data = IslandData(j, wj, level, path[0][0], tuple(path), records,
@@ -147,54 +179,34 @@ class IslandHit(NamedTuple):
         return zigzag_prefix(p) + tail
 
 
-def _suffix_run(w: Word) -> int:
-    """Length of the maximal constant-letter suffix run of w."""
-    if not w:
-        return 0
-    last = w[-1]
-    n = len(w)
-    r = 1
-    while r < n and w[n - 1 - r] == last:
-        r += 1
-    return r
-
-
 def _match_island(data: IslandData, n: int, p: int, run: int, last: int,
                   mid: Word) -> Optional[IslandHit]:
     """Island membership of v in island j = data.j, where v has length n,
     ray agreement p, and ends in a run of `run` letters `last`, and mid is
-    v[p:n-run].  Only letters of v from min(p, z's ray agreement) onward
-    are compared: before that both words follow the ray."""
-    split = n - run
-    for zlen, zp, ztail in data.records:
-        if n == zlen and p == zp and mid + (last,) * (n - p - len(mid)) == ztail:
-            return IslandHit(data, "Z")
-    for k, (zlen, zp, ztail) in enumerate(data.records):
-        # v = reduce(z . a_s^r) iff past their longest common prefix z is a
-        # run of some x and v a run of -x, within v's final run
-        c = min(p, zp)
-        if p == zp:
-            while c < zlen and c < n and (last if c >= split else mid[c - p]) == ztail[c - p]:
-                c += 1
-        # otherwise the word with the shorter ray agreement leaves the ray
-        # (or ends) at c, where the other still follows it
-        if n - c > run:
+    v[p:n-run].  v is a Z vertex z, or lies on a line reduce(z . a_s^r)
+    with r != 0 and s <= n_j.  Strip each word of its final run, z =
+    base(z) . a_t^b and v = base(v) . a_{|last|}^c: v is on that line
+    exactly when base(v) = base(z) with s = t = |last|, or base(v) = z with
+    s = |last| (not t), or v = base(z) with s = t, and r = c - b with the
+    run of a letter other than a_s counted as 0.  The hit names the first
+    such z in `data.records`."""
+    vrec = (n, p, mid + (last,) * (n - p - len(mid)))
+    if vrec in data.records:
+        return IslandHit(data, "Z")
+    m = n - run
+    vbase = (m, min(p, m), mid)
+    c = run if last > 0 else -run
+    for k, (t, b, base) in enumerate(data.bases):
+        if base == vbase and t == abs(last):
+            s, r = t, c - b
+        elif vbase == data.records[k]:
+            s, r = abs(last), c
+        elif base == vrec:
+            s, r = t, -b
+        else:
             continue
-        letter = None
-        if c < zlen:
-            x = ztail[c - zp] if c >= zp else _ray_letter(c)
-            if any((ztail[q - zp] if q >= zp else _ray_letter(q)) != x
-                   for q in range(c + 1, zlen)):
-                continue
-            letter = -x
-        if c < n:
-            if letter is not None and letter != last:
-                continue
-            letter = last
-        if letter is None or abs(letter) > data.level:
-            continue
-        r = (zlen - c) + (n - c)
-        return IslandHit(data, "L", abs(letter), k, r if letter > 0 else -r)
+        if s <= data.level:
+            return IslandHit(data, "L", s, k, r)
     return None
 
 
@@ -509,8 +521,8 @@ class Vertex:
         return hash((self.depth, self.ray_len, self.letter, self.run))
 
     def __repr__(self):
-        from .words import format_word
-        return f"Vertex({format_word(self.word)})"
+        tail = " ".join(map(str, self.tail))
+        return f"Vertex({format_ray_word(self.ray_len, tail, 0, self.depth)})"
 
 
 # the parent slot, which a ray vertex fills on first read
@@ -558,6 +570,7 @@ def _ray(depth: int, parent: Optional[Vertex] = None) -> Vertex:
 def ray_vertex(n: int) -> Vertex:
     """The vertex R[:n] = a_1 a_2 a_1 ... of the zig-zag ray, in O(1): its
     letters are a_1 and a_2, tree labels everywhere, so it survives."""
+    n = operator.index(n)  # a float depth would spell float letters
     if n < 0:
         raise ValueError("a ray vertex has a depth >= 0")
     return _ray(n)
@@ -583,8 +596,7 @@ def base_vertex() -> Vertex:
 
 def neighbor(v: Vertex, letter: int):
     """Spec-level neighbor operation; see Vertex.step."""
-    if letter == 0:
-        raise ValueError("0 is not a valid letter")
+    check_word((letter,))
     return v.step(letter)
 
 

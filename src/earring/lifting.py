@@ -27,13 +27,10 @@ class LiftStep(NamedTuple):
     at: Vertex       # position after the step
 
 
-def _fold(w: Word, cur: Vertex, record=None) -> Vertex:
-    """The endpoint of the lift of w from cur, one step per letter; each
-    step is passed to record as a LiftStep when it is given."""
+def _fold(w: Word, cur: Vertex) -> Vertex:
+    """The endpoint of the lift of w from cur, one step per letter."""
     for letter in w:
-        kind, cur = cur.step(letter)
-        if record is not None:
-            record(LiftStep(letter, kind, cur))
+        _, cur = cur.step(letter)
     return cur
 
 
@@ -51,8 +48,11 @@ class LiftTrace(_TraceFields):
     @cached_property
     def steps(self) -> tuple:
         """One LiftStep per letter of the word."""
-        out: list = []
-        _fold(self.word, self.start, out.append)
+        out = []
+        cur = self.start
+        for letter in self.word:
+            kind, cur = cur.step(letter)
+            out.append(LiftStep(letter, kind, cur))
         return tuple(out)
 
     def projection(self) -> Word:

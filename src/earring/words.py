@@ -275,6 +275,7 @@ class RayPrefix(Sequence):
     __slots__ = ("length",)
 
     def __init__(self, n: int):
+        n = operator.index(n)
         if n < 0:
             raise ValueError("a ray prefix has a length >= 0")
         self.length = n
@@ -345,3 +346,27 @@ def parse_word(text: str) -> Word:
 
 def format_word(w: Word) -> str:
     return "e" if not w else " ".join(map(str, w))
+
+
+# The longest word that `format_ray_word` spells out, and the most steps
+# `earring witness --trace` prints.  A witness itself takes O(|w|) time and
+# memory at any index, so this bounds only the output: a longer word is
+# written in the compact form `ray[p] <letters> ray[m]^-1`, the ray prefix
+# R[:p], the letters past it, and the inverse of a ray prefix R[:m].  The
+# witness of a_12 (j = 41,501,135) has vertices of 777,124,938 and
+# 1,554,249,877 letters.
+MAX_LIFT_LETTERS = 2 ** 22
+
+
+def format_ray_word(p: int, tail: str, m: int, letters: int) -> str:
+    """The word R[:p] + tail + R[:m]^{-1} of `letters` letters, R = a_1 a_2
+    a_1 ... the zig-zag ray and tail the text of the letters between ("" for
+    none), written as format_word writes it, or in the compact form when it
+    has more than MAX_LIFT_LETTERS letters.  Each ray run is written as one
+    repeated block of text, never letter by letter.  The CLI and the vertex
+    repr write vertices with it."""
+    if letters > MAX_LIFT_LETTERS:
+        ray, back = f"ray[{p}] " * (p > 0), f"ray[{m}]^-1 " * (m > 0)
+    else:
+        ray, back = "1 2 " * (p // 2) + "1 " * (p % 2), "-1 " * (m % 2) + "-2 -1 " * (m // 2)
+    return (ray + tail + " " * (tail != "") + back)[:-1] or "e"

@@ -212,10 +212,10 @@ class TestWitness:
                            f"endpoint={ray} 12 {ray}^-1 verdict=True\n")
 
     def test_compact_form_past_the_spelling_bound(self, capsys, monkeypatch):
-        from earring import cli, corefree
+        from earring import corefree, words
         _, spelled = run_json(capsys, "witness", "3")
         before = corefree.witness_conjugator((3,))
-        monkeypatch.setattr(cli, "MAX_LIFT_LETTERS", 100)
+        monkeypatch.setattr(words, "MAX_LIFT_LETTERS", 100)
         code, obj = run_json(capsys, "witness", "3")
         assert code == 0
         # the 52-letter midpoint is spelled, the 105-letter endpoint is not
@@ -273,12 +273,12 @@ class TestScan:
         assert code == 1
 
     def test_no_word_is_refused(self, capsys, monkeypatch):
-        from earring import cli
+        from earring import words
         expected = "scan 4: checked=26 skipped=4 failures=0 entries=[30 words]\n"
         code, out, _ = run_cli(capsys, "scan", "--max-weight", "4")
         assert (code, out) == (0, expected)
         # past the first 8 words, |beta w beta^-1| > 100
-        monkeypatch.setattr(cli, "MAX_LIFT_LETTERS", 100)
+        monkeypatch.setattr(words, "MAX_LIFT_LETTERS", 100)
         code, out, _ = run_cli(capsys, "scan", "--max-weight", "4")
         assert (code, out) == (0, expected)
         code, obj = run_json(capsys, "scan", "--max-weight", "4")

@@ -36,11 +36,11 @@ class TestWitnessConjugator:
         assert cert.word == (2, 1, -1)
 
     def test_spelling_bound_leaves_the_certificate(self, monkeypatch):
-        # MAX_LIFT_LETTERS bounds only what the CLI spells; the conjugate
+        # MAX_LIFT_LETTERS bounds only how vertices are written; the conjugate
         # of a_3 has 2 anchor_length(9) + 1 = 105 letters
-        from earring import cli
+        from earring import words
         before = _fields(witness_conjugator((3,)))
-        monkeypatch.setattr(cli, "MAX_LIFT_LETTERS", 100)
+        monkeypatch.setattr(words, "MAX_LIFT_LETTERS", 100)
         assert _fields(witness_conjugator((3,))) == before
 
     @pytest.mark.parametrize("w", [(12,), (40,), nth_word(10 ** 100)])

@@ -1,3 +1,4 @@
+import functools
 import time
 
 import pytest
@@ -20,7 +21,7 @@ from earring.graph import (
     removal_cross_check,
     survives,
 )
-from earring.words import anchor, anchor_length, invert, nth_word, reduce_word
+from earring.words import RayPrefix, anchor, anchor_length, invert, nth_word, reduce_word
 
 
 class TestIslandData:
@@ -154,6 +155,16 @@ class TestInputValidation:
     def test_unreduced_rejected(self, entry, bad):
         with pytest.raises(ValueError, match="reduced"):
             entry(bad)
+
+    @pytest.mark.parametrize("make", [ray_vertex, RayPrefix], ids=["ray_vertex", "RayPrefix"])
+    def test_fractional_length_rejected(self, make):
+        with pytest.raises(TypeError):
+            make(2.5)
+
+    @pytest.mark.parametrize("bad", [2.5, True, 1.0, "1", 0])
+    def test_invalid_neighbor_letter_rejected(self, bad):
+        with pytest.raises(ValueError, match="invalid letter"):
+            neighbor(base_vertex(), bad)
 
 
 class TestESet:
@@ -413,3 +424,62 @@ class TestRayAgreement:
         while p < len(w) and w[p] == (1 if p % 2 == 0 else 2):
             p += 1
         assert ray_agreement(w) == p
+
+
+@functools.lru_cache(maxsize=None)
+def _spelled_island(j):
+    """The edge-path vertices of island j spelled from the definition,
+    reduce(anchor(j) . w_j[:i]) for 0 <= i <= |w_j|, and the level n_j."""
+    wj = nth_word(j)
+    path = tuple(reduce_word(anchor(j) + wj[:i]) for i in range(len(wj) + 1))
+    return path, max(2, max(abs(x) for x in wj))
+
+
+def _definitional_island(v):
+    """(j, kind) for the reduced word v, or None, from the definitions
+    alone: v is an edge-path vertex z of island j (kind 'Z'), or
+    reduce(z^-1 . v) is a nonzero power of one a_s with s <= n_j (kind
+    'L'), as `in_line` defines it.  Every island j with anchor_length(j) -
+    2|w_j| - 1 <= |v| is tried, and v may lie on one at most."""
+    found = []
+    j = 1
+    while anchor_length(j) - 2 * len(nth_word(j)) - 1 <= len(v):
+        path, level = _spelled_island(j)
+        if v in path:
+            found.append((j, "Z"))
+        else:
+            for z in path:
+                d = reduce_word(invert(z) + v)
+                if d and len(set(d)) == 1 and abs(d[0]) <= level:
+                    found.append((j, "L"))
+                    break
+        j += 1
+    assert len(found) <= 1, (v, found)
+    return found[0] if found else None
+
+
+class TestDefinitionalMembership:
+    """Island membership from `classify` against `_definitional_island`,
+    which spells every island from its anchor and word and uses none of
+    the records, the anchor index or the two-candidate window."""
+
+    def test_exhaustive_near_edge_paths(self):
+        # every reduced word of length <= 2 over a_1 .. a_5, grafted onto
+        # every edge-path vertex of the islands j <= 30
+        letters = [x for i in range(1, 6) for x in (i, -i)]
+        grafts = [()] + [(x,) for x in letters] + [(x, y) for x in letters for y in letters
+                                                   if x != -y]
+        words = {reduce_word(z + g) for j in range(1, 31) for z in _spelled_island(j)[0]
+                 for g in grafts}
+        kinds = {"Z": 0, "L": 0, None: 0}
+        disagreements = []
+        for v in sorted(words):
+            hit = classify(v)
+            fast = (hit.j, hit.kind) if hit else None
+            slow = _definitional_island(v)
+            kinds[slow and slow[1]] += 1
+            if fast != slow:
+                disagreements.append((v, fast, slow))
+        assert not disagreements, (len(disagreements), disagreements[:3])
+        assert len(words) == 7_078
+        assert kinds == {"Z": 80, "L": 456, None: 6_542}

@@ -6,10 +6,11 @@ import hashlib
 
 import pytest
 
+from earring import words
 from earring.charts import PointH, PointHat, edge_at, atlas_check
 from earring.corefree import (ScanReport, core_free_scan, midpoint_structure_check,
                               witness_conjugator)
-from earring.graph import base_vertex, island_data, removal_cross_check
+from earring.graph import base_vertex, island_data, ray_vertex, removal_cross_check
 from earring.lifting import lift_word
 
 
@@ -33,6 +34,22 @@ def test_reprs_are_pinned():
         "island_data": "44b7ef50f5fa25d1",
         "midpoint": "82af0d5a9d6d6681",
     }
+
+
+def test_long_vertex_reprs_are_compact(monkeypatch):
+    # a vertex of more than MAX_LIFT_LETTERS letters is written in the
+    # compact form, as the CLI writes it, so no repr spells a far ray
+    # prefix; CI checks the reprs at witness 12 under a memory cap
+    monkeypatch.setattr(words, "MAX_LIFT_LETTERS", 100)
+    cert = witness_conjugator((2, 1, -1))
+    assert repr(ray_vertex(1000)) == "Vertex(ray[1000])"
+    assert repr(cert) == ("ConjugationCertificate(word=(2, 1, -1), j=78, beta=RayPrefix(595), "
+                          "midpoint=Vertex(ray[595]), turn=Vertex(ray[596]), unwind=595, "
+                          "verdict=True)")
+    assert repr(midpoint_structure_check(cert)) == (
+        "MidpointReport(j=78, records=((2, 'tree', Vertex(ray[596]), True), "
+        "(1, 'tree', Vertex(ray[597]), True), (-1, 'tree', Vertex(ray[596]), True)), "
+        "ok=True, stays_on_island=True)")
 
 
 def test_certificates_of_one_word_are_equal():
