@@ -181,8 +181,6 @@ def _point_spec(spec: str):
     if parts[0] == "e" and len(parts) == 4:
         v = graph.Vertex.make(words.reduce_word(parse_word(parts[1])))
         label = int(parts[2])
-        if label < 1:
-            raise ValueError("edge label must be a positive index")
         t = float(parts[3])
         return charts.PointHat.on_edge(charts.edge_at(v, label), t)
     raise ValueError("point spec must be v:<word> or e:<word>:<label>:<t>")

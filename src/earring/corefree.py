@@ -35,7 +35,12 @@ class _CertificateFields(NamedTuple):
 
 class ConjugationCertificate(_CertificateFields):
     """A named tuple of the witness's fields; the endpoint vertex and the
-    letter-by-letter trace are made on first read."""
+    letter-by-letter trace are made on first read.  It hashes by its word
+    and index, which equal certificates share, so that `beta` is not
+    spelled."""
+
+    def __hash__(self):
+        return hash((self.word, self.j))
 
     @cached_property
     def conjugate_endpoint(self) -> Vertex:

@@ -14,6 +14,7 @@ from functools import cached_property
 from itertools import compress, count, cycle
 from typing import NamedTuple, Optional
 
+from . import words
 from .caching import cache_limit, on_reset
 from .words import (
     Word,
@@ -215,8 +216,6 @@ def _locate(n: int, p: int, run: int, last: int, middle) -> Optional[IslandHit]:
     agreement p, whose final constant-letter run has `run` letters
     `last`; middle() gives v[p:n-run].  The word rule behind `classify`
     and the trie rule behind `Vertex` both come here."""
-    if n == 0:
-        return None
     # every vertex of island j agrees with the zig-zag ray on a prefix
     # within |w_j| + 1 of anchor_length(j), and consecutive anchors are
     # |w_j| + 3 + |w_{j+1}| apart: only the last anchor at or before p
@@ -312,15 +311,15 @@ def _descend(v: Word) -> Optional["Vertex"]:
     reduction u = reduce(z . a_s^{+-r}) ends in a letter of index 1, 2 or
     s, so the step a_k (k outside {1,2,s}) never cancels and u . a_k is a
     literal prefix of v.  Hence v survives exactly when each of its letters
-    is a tree label at the prefix before it, which is the rule
-    `Vertex.step` applies.  The letters of v's ray agreement are a_1 and
-    a_2, tree labels everywhere, so that prefix is taken in one step."""
+    is a tree step from the prefix before it, and it is pruned at the
+    first loop of `Vertex.step`.  The letters of v's ray agreement are a_1
+    and a_2, tree labels everywhere, so that prefix is taken in one step."""
     p = ray_agreement(v)
     node = _ray(p)
     for x in v[p:]:
-        if x not in _LOW_LETTERS and abs(x) not in node.e_set:
+        kind, node = node.step(x)
+        if kind == "loop":
             return None
-        node = node._child(x)
     return node
 
 
@@ -393,8 +392,15 @@ class Vertex:
     `hit`, and a step by a_1^{+-1} or a_2^{+-1} never reads them, since
     {1, 2} is in every vertex's e_set.
 
-    The vertices R[:n] of the zig-zag ray are made by `ray_vertex`, at any
-    depth in O(1); a node off the ray hangs below its parent.
+    A vertex is one of two kinds.  The vertices R[:n] of the zig-zag ray,
+    n >= 0, are `_RayVertex` nodes made by `ray_vertex` at any depth in
+    O(1); the base point is R[:0].  Every other vertex is a child, made
+    here from its parent and its letter.
+
+    `step` is the one step rule: every letter applied to a vertex goes
+    through it, except in the two segment rules, `ray_vertex` and
+    `lifting.lift_ray_inverse`, and in `island_data`'s record arithmetic,
+    which the midpoint check compares the lift with.
 
     `_children` holds None, the only child (which knows its own letter),
     or a dict letter -> child once the vertex branches: most vertices on a
@@ -404,28 +410,21 @@ class Vertex:
     __slots__ = ("parent", "letter", "depth", "ray_len", "run", "run_start",
                  "_hit", "_e_set", "_children")
 
-    def __init__(self, parent: Optional["Vertex"] = None, letter: int = 0):
+    def __init__(self, parent: "Vertex", letter: int):
+        # a child made here leaves the ray or is already off it
         self.parent = parent
         self.letter = letter
-        self._children = None
-        self._hit = None
-        if parent is None:
-            self.depth = self.ray_len = self.run = 0
-            self.run_start = None
-            self._e_set = _labels(None)
+        self.depth = parent.depth + 1
+        self.ray_len = parent.ray_len
+        if letter == parent.letter:
+            self.run = parent.run + 1
+            self.run_start = parent.run_start
         else:
-            # a child made here leaves the ray or is already off it
-            self.depth = parent.depth + 1
-            self.ray_len = parent.ray_len
-            if letter == parent.letter:
-                self.run = parent.run + 1
-                self.run_start = parent.run_start
-            else:
-                self.run = 1
-                # the vertex before the final run, kept only off the ray:
-                # the letters it spells for _locate start at ray_len
-                self.run_start = parent if parent.depth > parent.ray_len else None
-            self._e_set = None
+            self.run = 1
+            # the vertex before the final run, kept only off the ray: the
+            # letters it spells for _locate start at ray_len
+            self.run_start = parent if parent.depth > parent.ray_len else None
+        self._hit = self._e_set = self._children = None
 
     def _classify(self) -> frozenset:
         """Locate the island, store the hit and its labels, and return the
@@ -530,21 +529,26 @@ _PARENT = Vertex.parent
 
 
 class _RayVertex(Vertex):
-    """The vertex R[:depth] of the zig-zag ray, made without its parent."""
+    """The vertex R[:depth] of the zig-zag ray, depth >= 0, made without
+    its parent: one of the two kinds of vertex, beside the children that
+    `Vertex` makes.  The base point is R[:0]; its letter and final run are
+    0 and it has no parent.  It steps by `Vertex.step`, the one step rule,
+    which only `ray_vertex`, `lift_ray_inverse` and `island_data`'s record
+    arithmetic bypass."""
 
     __slots__ = ("__weakref__",)
 
     def __init__(self, depth: int, parent: Optional[Vertex] = None):
         _PARENT.__set__(self, parent)
-        self.letter = _ray_letter(depth - 1)
+        self.letter = depth and _ray_letter(depth - 1)
         self.depth = self.ray_len = depth
-        self.run = 1
+        self.run = min(depth, 1)
         self.run_start = self._hit = self._e_set = self._children = None
 
     @property
-    def parent(self) -> Vertex:
+    def parent(self) -> Optional[Vertex]:
         node = _PARENT.__get__(self)
-        if node is None:
+        if node is None and self.depth:
             node = _ray(self.depth - 1)
             _PARENT.__set__(self, node)
         return node
@@ -576,7 +580,7 @@ def ray_vertex(n: int) -> Vertex:
     return _ray(n)
 
 
-_root = Vertex()
+_root = _RayVertex(0)
 
 
 @on_reset
@@ -657,6 +661,14 @@ def removal_cross_check(j: int, radius: int) -> CrossCheckReport:
     if j < 1 or radius < 1:
         raise ValueError("island index and radius must be >= 1")
     data = island_data(j)
+    # the sample holds each edge-path vertex z and the words on its 2 n_j
+    # lines out to radius + 2 steps: at most 1 + 2 n_j (radius + 2) words
+    # of at most |z| + radius + 2 letters each; refuse before spelling them
+    reach = radius + 2
+    letters = sum((1 + 2 * data.level * reach) * (n + reach) for n, _, _ in data.records)
+    if letters > words.MAX_LIFT_LETTERS:
+        raise ValueError(f"the cross-check of island {j} at radius {radius} would spell "
+                         f"up to {letters} letters, more than {words.MAX_LIFT_LETTERS}")
     sample = set(data.z_set)
     for z in data.z_set:
         for s in range(1, data.level + 1):
@@ -680,33 +692,28 @@ def removal_cross_check(j: int, radius: int) -> CrossCheckReport:
     examined = 0
     removed = 0
     disagreements = []
-    # BFS outward; record each vertex's gateway (its distance-1 ancestor)
-    # and the label of the gateway's unique edge into the island.
-    frontier: list[tuple] = []
+    # BFS outward from the sample at depth 0; record each vertex's gateway
+    # label, the label of the edge by which its distance-1 ancestor leaves
+    # the island
+    frontier: list[tuple] = [(y, 0, None) for y in sorted(sample)]
     seen = set(sample)
-    for y in sorted(sample):
-        for nb, label in tree_neighbors(y):
-            if nb in seen or in_island(nb):
-                seen.add(nb)
-                continue
-            seen.add(nb)
-            frontier.append((nb, 1, label))
     while frontier:
         next_frontier = []
         for w, depth, gateway_label in frontier:
-            examined += 1
-            prose = gateway_label not in (1, 2)
-            formula = formula_removes(w, j)
-            if prose != formula:
-                disagreements.append((w, prose, formula))
-            if formula:
-                removed += 1
+            if depth:
+                examined += 1
+                prose = gateway_label not in (1, 2)
+                formula = formula_removes(w, j)
+                if prose != formula:
+                    disagreements.append((w, prose, formula))
+                if formula:
+                    removed += 1
             if depth < radius:
-                for nb, _label in tree_neighbors(w):
+                for nb, label in tree_neighbors(w):
                     if nb in seen or in_island(nb):
                         seen.add(nb)
                         continue
                     seen.add(nb)
-                    next_frontier.append((nb, depth + 1, gateway_label))
+                    next_frontier.append((nb, depth + 1, gateway_label or label))
         frontier = next_frontier
     return CrossCheckReport(j, radius, examined, removed, tuple(disagreements))

@@ -270,7 +270,8 @@ def zigzag_prefix(n: int) -> Word:
 class RayPrefix(Sequence):
     """The ray prefix R[:n] = a_1 a_2 a_1 ... of length n, kept as its
     length: indexing and slicing spell only the letters asked for, and it
-    equals the spelled tuple."""
+    equals the spelled tuple.  Hashing it spells it, to agree with that
+    tuple's hash."""
 
     __slots__ = ("length",)
 

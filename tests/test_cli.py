@@ -115,6 +115,32 @@ class TestCrosscheck:
         assert obj["output"]["disagreements"] == 0
         assert obj["output"]["examined"] > 0
 
+    @pytest.mark.parametrize("json_flag, j, letters", [
+        (False, "41501135", 113460241459),
+        (True, "4000000000000000000000000000000000000000",
+         611705984630559248385958747789795230042153318)])
+    def test_far_island_is_refused(self, json_flag, j, letters):
+        # the sample of a far island holds words of |anchor| letters or
+        # more; under a 1 GiB address-space cap a cross-check that spelled
+        # them would fail fast with "out of memory" instead of the refusal
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from earring.cli import main; sys.exit(main(sys.argv[1:]))")
+        argv = ["--json"] * json_flag + ["crosscheck", j, "1"]
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        t0 = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True, env=env, timeout=60)
+        assert time.perf_counter() - t0 < 2
+        message = (f"the cross-check of island {j} at radius 1 would spell up to {letters} "
+                   "letters, more than 4194304")
+        assert out.returncode == 1, out.stderr
+        if json_flag:
+            assert (json.loads(out.stdout)["message"], out.stderr) == (message, "")
+        else:
+            assert (out.stdout, out.stderr) == ("", f"crosscheck: error: {message}\n")
+
 
 class TestLift:
     def test_simple(self, capsys):
@@ -352,6 +378,9 @@ class TestPoints:
     def test_bad_spec(self, capsys):
         code, out, err = run_cli(capsys, "charts", "nonsense")
         assert code == 1
+        # a label below 1 is refused by charts.Edge, which edge_at reaches
+        assert run_cli(capsys, "q-point", "e:e:0:0.5") == (
+            1, "", "q-point: error: edge label must be a positive index\n")
 
 
 class TestAtlasCheck:

@@ -3,6 +3,9 @@ order, keyword construction and defaults, reprs, value equality and
 hashing, and the attributes they make only on first read."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -57,6 +60,21 @@ def test_certificates_of_one_word_are_equal():
     assert a is not b
     assert a == b and hash(a) == hash(b)
     assert a != witness_conjugator((3,))
+
+
+def test_far_certificate_hashes_without_spelling_beta():
+    # beta of a_12 has 777,124,938 letters, about 6 GB spelled: under a
+    # 1 GiB address-space cap, a hash that spelled it would raise MemoryError
+    code = ("import resource; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from earring.corefree import witness_conjugator; "
+            "cert = witness_conjugator((12,)); "
+            "assert hash(cert) == hash(witness_conjugator((12,)))")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 def test_lazy_attributes_are_made_once():
