@@ -226,9 +226,7 @@ def local_inverse(c: ChartId, x: PointH) -> PointHat:
     if x.is_origin:
         return PointHat.at_vertex(v)
     i, t = x.circle, x.t
-    if i > c.level:
-        return PointHat.on_edge(edge_at(v, i), t)
-    if t < 0.375:
+    if i > c.level or t < 0.375:
         return PointHat.on_edge(edge_at(v, i), t)
     return PointHat.on_edge(edge_into(v, i), t)
 

@@ -190,8 +190,10 @@ def _match_island(data: IslandData, n: int, p: int, run: int, last: int,
     exactly when base(v) = base(z) with s = t = |last|, or base(v) = z with
     s = |last| (not t), or v = base(z) with s = t, and r = c - b with the
     run of a letter other than a_s counted as 0.  The hit names the first
-    such z in `data.records`."""
-    vrec = (n, p, mid + (last,) * (n - p - len(mid)))
+    such z in `data.records`.  v's own record is spelled only when n <=
+    data.max_len: a longer v is neither an edge-path vertex nor the
+    stripped base of one, so its record would match nothing."""
+    vrec = (n, p, mid + (last,) * (n - p - len(mid))) if n <= data.max_len else None
     if vrec in data.records:
         return IslandHit(data, "Z")
     m = n - run
@@ -614,29 +616,22 @@ def formula_removes(v: Word, j: int) -> bool:
     {1, 2, s}.  The power may cancel into the spelling of z, so its
     reduction u is located with the definitional line test `in_line`
     rather than by literal prefix matching; u . a_k^{+-1} itself never
-    cancels and is therefore a literal prefix of v."""
+    cancels and is therefore a literal prefix of v.  Both branches need
+    k > 2 (n_j >= 2), so u = v[:t] is tried only where v[t] has index
+    above 2."""
     data = island_data(j)
     zset = data.z_set
     nj = data.level
-    n = len(v)
-    for t in range(0, n):
-        u = v[:t]
-        k = abs(v[t])
+    for t in (t for t, x in enumerate(v) if abs(x) > 2):
+        u, k = v[:t], abs(v[t])
         if u in zset:
             # r = 0 branch; the next vertex carries an index-k letter
             # with k > n_j, hence lies off the edge-path automatically
             if k > nj:
                 return True
-            continue
         # r != 0 branch: u strictly on a line through the edge-path
-        if k in (1, 2):
-            continue
-        for z in zset:
-            for s in range(1, nj + 1):
-                if s == k:
-                    continue
-                if in_line(u, z, s):
-                    return True
+        elif any(in_line(u, z, s) for z in zset for s in range(1, nj + 1) if s != k):
+            return True
     return False
 
 
@@ -710,10 +705,10 @@ def removal_cross_check(j: int, radius: int) -> CrossCheckReport:
                     removed += 1
             if depth < radius:
                 for nb, label in tree_neighbors(w):
-                    if nb in seen or in_island(nb):
-                        seen.add(nb)
+                    if nb in seen:
                         continue
                     seen.add(nb)
-                    next_frontier.append((nb, depth + 1, gateway_label or label))
+                    if not in_island(nb):
+                        next_frontier.append((nb, depth + 1, gateway_label or label))
         frontier = next_frontier
     return CrossCheckReport(j, radius, examined, removed, tuple(disagreements))

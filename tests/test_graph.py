@@ -216,6 +216,14 @@ class TestCrossCheck:
         assert report.examined > 0
         assert report.disagreements == ()
 
+    def test_far_island_is_cheap(self):
+        # the closed form spells a prefix only before a letter of index
+        # above 2, not at each of the 3,648 ray letters of the anchor
+        t0 = time.perf_counter()
+        report = removal_cross_check(400, 1)
+        assert time.perf_counter() - t0 < 4
+        assert (report.examined, report.removed, len(report.disagreements)) == (196, 136, 0)
+
     def test_a1_neighbor_of_zpath_never_removed(self):
         d = island_data(1)
         for z in d.z_set:

@@ -1,9 +1,11 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earring.graph import Vertex, base_vertex, e_set
+from earring.graph import Vertex, base_vertex, e_set, ray_vertex
 from earring.lifting import endpoint, in_k, lift_word
-from earring.words import anchor, concat, invert, reduce_word
+from earring.words import anchor, anchor_length, concat, index_of, invert, reduce_word
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
 word_st = st.lists(letters, max_size=14).map(tuple)
@@ -39,6 +41,17 @@ class TestLiftWord:
     def test_rejects_bad_letter(self):
         with pytest.raises(ValueError):
             lift_word((0,))
+
+
+class TestIslandLine:
+    def test_long_power_along_a_line_is_linear(self):
+        # every vertex of a_5^r from the anchor of a_5 lies on the island's
+        # line with s = 5; no step spells the vertex's growing final run
+        j = index_of((5,))
+        t0 = time.perf_counter()
+        hit = endpoint((5,) * 100000, ray_vertex(anchor_length(j))).hit
+        assert time.perf_counter() - t0 < 5
+        assert (hit.j, hit.kind, hit.s, hit.r) == (125, "L", 5, 100000)
 
 
 class TestLowLetters:
