@@ -5,7 +5,8 @@ index, the one table keyed by words (word -> trie vertex, or pruned).
 It is a whole number of bytes written in decimal digits, such as 65536;
 any other value makes `cache_limit` raise ValueError.  Its cost is an
 estimate, 128 bytes plus 8 per letter of each key; when the next entry
-would pass the cap the whole table is cleared, and 0 keeps it empty.
+would pass the cap the whole table is cleared, an entry that alone costs
+more than the cap is not stored and clears nothing, and 0 keeps it empty.
 Island data is memoised in a table cleared whole at 1,024 entries, and
 each trie vertex's island hit holds its own island's data.  The trie of
 visited vertices and the class table of the word enumeration are not

@@ -22,7 +22,9 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import caching, charts, corefree, graph, lifting, words
+# lifting, corefree and charts are imported by the handlers that call them,
+# so a command loads only the layers it uses
+from . import caching, graph, words
 from .words import format_ray_word, format_word, parse_word
 
 # name -> (help line, arguments, options, handler), in help order
@@ -174,6 +176,7 @@ def _trace(trace):
 
 def _point_spec(spec: str):
     """Parse `v:<word>` or `e:<word>:<label>:<t>` (commas inside words)."""
+    from . import charts
     parts = spec.split(":")
     if parts[0] == "v" and len(parts) == 2:
         v = graph.Vertex.make(words.reduce_word(parse_word(parts[1])))
@@ -232,6 +235,7 @@ def _crosscheck(args):
 
 @command("lift", "lift the word from a start vertex", WORD, start="e", trace=False)
 def _lift(args):
+    from . import lifting
     start = graph.Vertex.make(words.reduce_word(parse_word(args.start)))
     trace = lifting.lift_word(args.word, start=start)
     endpoint = _vertex_text(trace.endpoint)
@@ -249,11 +253,13 @@ def _lift(args):
 
 @command("in-k", "does the loop lift back to the base point", WORD)
 def _in_k(args):
+    from . import lifting
     _emit(args, {"input": args.wtext, "verdict": lifting.in_k(args.word)})
 
 
 @command("witness", "conjugation certificate for an essential word", WORD, trace=False)
 def _witness(args):
+    from . import corefree
     try:
         cert = corefree.witness_conjugator(args.word)
     except ValueError as exc:
@@ -275,6 +281,7 @@ def _witness(args):
 
 @command("scan", "run the witness over all words up to a weight", max_weight=int)
 def _scan(args):
+    from . import corefree
     try:
         report = corefree.core_free_scan(args.max_weight)
     except ValueError as exc:
@@ -293,6 +300,7 @@ def _scan(args):
 
 @command("q-point", "project a point upstairs", ("spec", str))
 def _q_point(args):
+    from . import charts
     x = charts.q_point(_point_spec(args.spec))
     payload = {"input": args.spec}
     if x.is_origin:
@@ -304,12 +312,14 @@ def _q_point(args):
 
 @command("charts", "atlas charts containing a point", ("spec", str))
 def _charts(args):
+    from . import charts
     found = charts.charts_containing(_point_spec(args.spec))
     _emit(args, {"input": args.spec, "charts": [_chart_name(c) for c in found]})
 
 
 @command("atlas-check", "sampled atlas properties", samples=1000, seed=0)
 def _atlas_check(args):
+    from . import charts
     report = charts.atlas_check(args.samples, seed=args.seed)
     _emit(args, {"input": str(args.samples), "round_trips": report.round_trips,
                  "overlaps": report.overlaps, "failures": len(report.failures)})

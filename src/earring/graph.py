@@ -346,11 +346,12 @@ def _vertex_of(v: Word):
     node = _descend(v) or False
     cost = 128 + 8 * len(v)
     limit = cache_limit()
+    if cost > limit:
+        # an entry the index will not keep leaves it as it is
+        return node
     if _index_bytes + cost > limit:
         _index.clear()
         _index_bytes = 0
-        if cost > limit:
-            return node
     _index[v] = node
     _index_bytes += cost
     return node

@@ -769,3 +769,107 @@ class TestClosedStdout:
         assert proc.wait(timeout=60) == 1
         assert err == b""
         assert head.startswith(b'{"command": "witness"' if json_flag else b"witness -2 -1 -2:")
+
+
+def run_python(code: str, *argv) -> str:
+    """The stdout of `python -c code argv...` in a fresh interpreter that
+    imports earring from this checkout."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+class TestImportFootprint:
+    """`import earring` loads the oracle layers only; the lifting,
+    certificate and chart layers load on first use, and each command loads
+    only the layers it calls."""
+
+    ORACLE = ["earring", "earring.caching", "earring.graph", "earring.words"]
+    PUBLIC = [
+        "ConjugationCertificate", "Edge", "IslandData", "LiftTrace", "PointH", "PointHat",
+        "RayPrefix", "Vertex", "Word", "anchor", "anchor_length", "atlas_check", "base_vertex",
+        "caching", "charts", "charts_containing", "concat", "core_free_scan", "corefree",
+        "e_set", "edge_at", "edge_chart", "edge_into", "endpoint", "format_word", "graph",
+        "in_k", "in_line", "index_of", "invert", "island_data", "island_of", "l_point",
+        "lift_ray_inverse", "lift_word", "lifting", "local_inverse", "midpoint_structure_check",
+        "neighbor", "nth_word", "parse_word", "planar", "q_point", "ray_vertex", "reduce_word",
+        "removal_cross_check", "survives", "vertex_chart", "weight", "witness_conjugator",
+        "words", "zigzag_prefix",
+    ]
+    LAZY = {
+        "lifting": ["LiftTrace", "endpoint", "in_k", "lift_ray_inverse", "lift_word"],
+        "corefree": ["ConjugationCertificate", "core_free_scan", "midpoint_structure_check",
+                     "witness_conjugator"],
+        "charts": ["Edge", "PointH", "PointHat", "atlas_check", "charts_containing", "edge_at",
+                   "edge_into", "l_point", "local_inverse", "planar", "q_point",
+                   "vertex_chart", "edge_chart"],
+    }
+    # prints a command's exit code, its stdout and the earring modules it loaded
+    CALL = ("import contextlib, io, json, sys\n"
+            "from earring import cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('earring.'))\n"
+            "print(json.dumps([code, out.getvalue(), loaded]))")
+
+    def test_package_import_loads_the_oracle_only(self):
+        code = ("import json, sys, earring; earring.survives(()); "
+                "print(json.dumps(sorted(m for m in sys.modules if m.startswith('earring'))))")
+        assert json.loads(run_python(code)) == self.ORACLE
+
+    def test_public_names(self):
+        import earring
+        assert sorted(earring.__all__) == self.PUBLIC
+        # a submodule imported by name, as earring.cli is here, is listed too
+        assert set(self.PUBLIC) <= set(dir(earring))
+
+    def test_lazy_names_are_their_modules_attributes(self):
+        # each name is read from the package first, in a fresh interpreter
+        code = ("import json, sys, earring\n"
+                "wrong = []\n"
+                "for home, names in json.loads(sys.argv[1]).items():\n"
+                "    got = {name: getattr(earring, name) for name in [home] + names}\n"
+                "    module = sys.modules['earring.' + home]\n"
+                "    wrong += [name for name, obj in got.items()\n"
+                "              if obj is not (module if name == home else getattr(module, name))]\n"
+                "print(json.dumps(wrong))")
+        assert json.loads(run_python(code, json.dumps(self.LAZY))) == []
+
+    def test_star_import_binds_every_public_name(self):
+        code = ("import json; ns = {}; exec('from earring import *', ns); "
+                "print(json.dumps(sorted(n for n in ns if not n.startswith('__'))))")
+        assert json.loads(run_python(code)) == self.PUBLIC
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import earring
+        with pytest.raises(AttributeError, match="'nope'"):
+            earring.nope
+        assert not hasattr(earring, "nope")
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["survives", "1", "2"], ["charts", "corefree", "lifting"]),
+        (["island", "1", "2", "1"], ["charts", "corefree", "lifting"]),
+        (["ev", "1", "2", "1"], ["charts", "corefree", "lifting"]),
+        (["zpath", "9"], ["charts", "corefree", "lifting"]),
+        (["crosscheck", "9", "1"], ["charts", "corefree", "lifting"]),
+        (["witness", "3", "2", "-2"], ["charts"]),
+        (["scan", "--max-weight", "3"], ["charts"]),
+        (["lift", "--trace", "1", "2", "3"], ["charts"]),
+        (["in-k", "1", "2", "1"], ["charts"]),
+    ])
+    def test_command_loads_only_its_layers(self, argv, unused):
+        code, _, loaded = json.loads(run_python(self.CALL, *argv))
+        assert code == 0
+        assert [m for m in unused if "earring." + m in loaded] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["q-point", "v:1,2,1,2"],
+        ["charts", "e:1,2:3:0.25"],
+        ["--json", "atlas-check", "--samples", "50", "--seed", "3"],
+    ])
+    def test_chart_commands_load_charts_and_answer(self, capsys, argv):
+        code, out, loaded = json.loads(run_python(self.CALL, *argv))
+        assert "earring.charts" in loaded
+        assert (code, out) == run_cli(capsys, *argv)[:2]

@@ -410,6 +410,27 @@ class TestCacheContract:
             monkeypatch.undo()
             reset_caches()
 
+    def test_oversize_entry_leaves_index_as_is(self, monkeypatch):
+        # a word whose entry alone costs more than the cap is answered
+        # without clearing what the index holds
+        from earring.words import zigzag_prefix
+        long_word = zigzag_prefix(9000)
+        assert 128 + 8 * len(long_word) > self.CAP
+        try:
+            reset_caches()
+            want = survives(long_word)
+            monkeypatch.setenv("EARRING_CACHE_BYTES", str(self.CAP))
+            reset_caches()
+            for j in range(1, 30):
+                survives(anchor(j))
+            kept, kept_bytes = dict(graph._index), graph._index_bytes
+            assert kept and kept_bytes <= self.CAP
+            assert survives(long_word) == want
+            assert graph._index == kept and graph._index_bytes == kept_bytes
+        finally:
+            monkeypatch.undo()
+            reset_caches()
+
 
 class TestLabelSymmetry:
     def test_in_out_symmetry(self):
