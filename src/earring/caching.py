@@ -11,7 +11,9 @@ Island data is memoised in a table cleared whole at 1,024 entries, and
 each trie vertex's island hit holds its own island's data.  The trie of
 visited vertices and the class table of the word enumeration are not
 bounded; ray vertices are registered weakly.  `reset_caches()` drops all
-of them.  Caches are transparent: every result is recomputable, so
+of them, so it starts a new trie: a vertex made before it still answers
+and steps, but vertices compare by identity, so across a reset compare
+their `.word`.  Caches are transparent: every result is recomputable, so
 capping or disabling them never changes observable behavior.
 """
 

@@ -186,11 +186,7 @@ def charts_containing(p: PointHat) -> list:
     if e.kind == "loop" and e.label > vertex_chart_level(e.base):
         # the entire loop lies in its vertex's chart
         vertex_owners.append(e.base)
-    seen = set()
-    for v in vertex_owners:
-        if v not in seen:
-            seen.add(v)
-            charts.append(vertex_chart(v))
+    charts.extend(map(vertex_chart, dict.fromkeys(vertex_owners)))
     return charts
 
 

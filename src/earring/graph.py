@@ -117,6 +117,7 @@ _islands: dict = {}
 
 
 def island_data(j: int) -> IslandData:
+    j = operator.index(j)  # True and 2.0 hash as the memo keys 1 and 2
     if j < 1:
         raise ValueError("island index must be >= 1")
     cached = _islands.get(j)
@@ -263,13 +264,16 @@ def in_line(v: Word, u: Word, s: int) -> Optional[int]:
 
     Deliberately implemented from the definition (reduce u^{-1}v and test
     for a pure power of a_s) rather than via the ray shortcuts, so it can
-    serve as an independent check on them.
+    serve as an independent check on them.  The common prefix of u and v,
+    found at C speed, cancels first: that is free reduction too.
     """
     if s < 1:
         raise ValueError("line direction must be >= 1")
+    v, u = check_word(v), check_word(u)
     if not is_reduced(u):
         raise ValueError("in_line expects a reduced base vertex")
-    d = reduce_word(invert(u) + tuple(v))
+    c = next(compress(count(), map(operator.ne, u, v)), min(len(u), len(v)))
+    d = reduce_word(invert(u[c:]) + v[c:])
     if not d:
         return 0
     if all(x == s for x in d):
@@ -408,7 +412,13 @@ class Vertex:
     `_children` holds None, the only child (which knows its own letter),
     or a dict letter -> child once the vertex branches: most vertices on a
     path have one child, so most vertices are one object, not a node and
-    a table.  A child once made stays the same object."""
+    a table.  A child once made stays the same object.
+
+    A word has one live vertex in the current trie: only `_child` makes a
+    child, and only `_ray` a ray vertex.  So `==` is `is`, and a vertex
+    hashes by identity.  `reset_caches()` starts a new trie, so a vertex
+    made before it is not the vertex of its word made after it; across a
+    reset, compare `.word`."""
 
     __slots__ = ("parent", "letter", "depth", "ray_len", "run", "run_start",
                  "_hit", "_e_set", "_children")
@@ -502,26 +512,6 @@ class Vertex:
             return ("tree", self.parent)
         return ("tree", self._child(letter))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Vertex):
-            return False
-        p = self.ray_len
-        if self.depth != other.depth or p != other.ray_len:
-            return False
-        # walk up in step until the paths meet or both reach R[:p]; a node
-        # of a trie dropped by reset_caches meets the current ones there
-        a, b = self, other
-        while a is not b and a.depth > p:
-            if a.letter != b.letter:
-                return False
-            a, b = a.parent, b.parent
-        return True
-
-    def __hash__(self):
-        return hash((self.depth, self.ray_len, self.letter, self.run))
-
     def __repr__(self):
         tail = " ".join(map(str, self.tail))
         return f"Vertex({format_ray_word(self.ray_len, tail, 0, self.depth)})"
@@ -537,7 +527,8 @@ class _RayVertex(Vertex):
     `Vertex` makes.  The base point is R[:0]; its letter and final run are
     0 and it has no parent.  It steps by `Vertex.step`, the one step rule,
     which only `ray_vertex`, `lift_ray_inverse` and `island_data`'s record
-    arithmetic bypass."""
+    arithmetic bypass.  It is made only by `_ray`, which registers it, so
+    it is the one live vertex of its ray word and compares by identity."""
 
     __slots__ = ("__weakref__",)
 
@@ -565,7 +556,8 @@ _rays = weakref.WeakValueDictionary()
 
 def _ray(depth: int, parent: Optional[Vertex] = None) -> Vertex:
     """The vertex R[:depth]; parent, when given, is R[:depth - 1].  The
-    one constructor of ray vertices, so a ray word has one live vertex."""
+    one constructor of ray vertices, so a ray word has one live vertex and
+    `==` on ray vertices is `is`."""
     if depth == 0:
         return _root
     node = _rays.get(depth)
@@ -712,4 +704,4 @@ def removal_cross_check(j: int, radius: int) -> CrossCheckReport:
                     if not in_island(nb):
                         next_frontier.append((nb, depth + 1, gateway_label or label))
         frontier = next_frontier
-    return CrossCheckReport(j, radius, examined, removed, tuple(disagreements))
+    return CrossCheckReport(data.j, radius, examined, removed, tuple(disagreements))

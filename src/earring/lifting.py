@@ -74,7 +74,7 @@ def endpoint(w: Word, start: Optional[Vertex] = None) -> Vertex:
 
 def in_k(w: Word) -> bool:
     """True iff the lift of w from the base point ends at the base point."""
-    return endpoint(w) == base_vertex()
+    return endpoint(w) is base_vertex()
 
 
 def lift_ray_inverse(v: Vertex, n: int) -> tuple:

@@ -51,6 +51,23 @@ class TestIslandData:
         assert island_data(1).level == 2
         assert island_data(9).level == 3
 
+    def test_bool_index_is_the_int_index(self):
+        # True hashes as 1: it must not be stored as island 1's index
+        reset_caches()
+        assert island_data(True) is island_data(1)
+        assert type(island_data(1).j) is int
+        assert type(island_of(anchor(1))) is int
+        assert type(classify(anchor(1)).j) is int
+        assert type(removal_cross_check(True, 1).j) is int
+
+    def test_float_index_is_refused_memo_or_not(self):
+        reset_caches()
+        with pytest.raises(TypeError):
+            island_data(2.0)
+        island_data(2)
+        with pytest.raises(TypeError):
+            island_data(2.0)
+
 
 class TestInLine:
     def test_same_vertex(self):
@@ -64,6 +81,38 @@ class TestInLine:
 
     def test_absent(self):
         assert in_line((1, 2), (2, 1), 3) is None
+
+    def test_bool_letter_is_refused(self):
+        with pytest.raises(ValueError):
+            in_line((True,), (), 1)
+        with pytest.raises(ValueError):
+            in_line((), (True,), 1)
+
+    def test_float_letters_are_refused(self):
+        with pytest.raises(ValueError):
+            in_line((1.0, 1.0), (), 1)
+        with pytest.raises(ValueError):
+            in_line((1,), (1.0,), 1)
+
+    def test_zero_letter_is_refused(self):
+        with pytest.raises(ValueError):
+            in_line((0,), (), 1)
+        with pytest.raises(ValueError):
+            in_line((1,), (0, 1), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=12),
+           st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=12),
+           st.integers(1, 3))
+    def test_prefix_cancellation_is_free_reduction(self, v, u, s):
+        # v may be unreduced, and u shares a prefix with v half the time
+        u = reduce_word(u)
+        if len(v) % 2:
+            v = list(u[:len(v)]) + v
+        d = reduce_word(invert(u) + tuple(v))
+        expected = (0 if not d else len(d) if set(d) == {s} else
+                    -len(d) if set(d) == {-s} else None)
+        assert in_line(v, u, s) == expected
 
     def test_agrees_with_fast_path(self):
         # the membership oracle's suffix-run shortcut against the definition

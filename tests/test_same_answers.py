@@ -1,19 +1,30 @@
-"""Same answers, committed: the CLI's output pinned invocation by invocation.
+"""Same answers, committed: the CLI's output pinned invocation by
+invocation, and the oracles pinned over a bounded domain of words.
 
 Each invocation below runs in-process through `cli.main`.  Its pin is the
 first 16 hex digits of the SHA-256 of the JSON array [exit code, stdout,
 stderr], so a failure names the command whose answer moved.  The answers
 do not depend on the caches or on the order the invocations run in.
 
-A change that moves an answer on purpose repins that invocation alone.
-Print its new digest with
+The oracle domain is every reduced word within 3 letters of an edge-path
+vertex of the islands j <= 20, or within 2 letters for j <= 40, over
+a_1 ... a_{n_j+2} and their inverses: 25,636 words.  The domain's pin is
+the same kind of digest, of the JSON list of its words in sorted order,
+and each oracle's pin is the digest of its answers in that order (on the
+survivors only, for `e_set` and `Vertex.hit`).
+
+A change that moves an answer on purpose repins that invocation or oracle
+alone.  Print its new digest with
 
     PYTHONPATH=src:tests python -c "from test_same_answers import answer_digest; print(answer_digest('zpath 9'))"
+    PYTHONPATH=src:tests python -c "from test_same_answers import oracle_digest; print(oracle_digest('classify'))"
 
-replace its entry in PINS, and say in CHANGES.md which answer moved and why.
+replace its entry in PINS or ORACLE_PINS, and say in CHANGES.md which
+answer moved and why.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -21,6 +32,7 @@ import json
 import pytest
 
 from earring import cli
+from earring.graph import Vertex, classify, e_set, island_data, island_of, survives
 
 # invocation, as the words after `earring` -> digest of (exit code, stdout,
 # stderr); no argument holds a space
@@ -120,14 +132,90 @@ PINS = {
 }
 
 
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
 def answer_digest(line: str) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(line.split())
-    blob = json.dumps([code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return _digest([code, out.getvalue(), err.getvalue()])
 
 
 @pytest.mark.parametrize("line", list(PINS))
 def test_cli_answer_is_pinned(line):
     assert answer_digest(line) == PINS[line]
+
+
+# --- the oracles over the words near the islands ----------------------------
+
+DOMAIN_SIZE = 25_636
+
+
+def _ball(z, radius: int, kmax: int) -> set:
+    """The reduced words within `radius` letters of z, over a_1 ... a_kmax
+    and their inverses."""
+    ball = {z}
+    frontier = [z]
+    for _ in range(radius):
+        nxt = []
+        for w in frontier:
+            for i in range(1, kmax + 1):
+                for x in (i, -i):
+                    nb = w[:-1] if w and w[-1] == -x else w + (x,)
+                    if nb not in ball:
+                        ball.add(nb)
+                        nxt.append(nb)
+        frontier = nxt
+    return ball
+
+
+@functools.cache
+def domain() -> list:
+    """The oracle domain, sorted, built once per process."""
+    words = set()
+    for j in range(1, 41):
+        data = island_data(j)
+        for z in data.z_set:
+            words |= _ball(z, 3 if j <= 20 else 2, data.level + 2)
+    return sorted(words)
+
+
+def _hit(hit):
+    return None if hit is None else (hit.j, hit.kind, hit.s, hit.k, hit.r)
+
+
+# oracle -> (answer on a word, True if it is asked of the survivors only)
+ORACLES = {
+    "classify": (lambda v: _hit(classify(v)), False),
+    "survives": (survives, False),
+    "island_of": (island_of, False),
+    "e_set": (lambda v: sorted(e_set(v)), True),
+    "Vertex.hit": (lambda v: _hit(Vertex.make(v).hit), True),
+}
+
+
+def oracle_digest(name: str) -> str:
+    answer, survivors_only = ORACLES[name]
+    return _digest([answer(v) for v in domain() if not survivors_only or survives(v)])
+
+
+DOMAIN_PIN = "3d018f9e4b750f7f"
+ORACLE_PINS = {
+    "classify": "6210f7d475d955fd",
+    "survives": "d5a35c10d0ac813d",
+    "island_of": "ba9db629c60b945d",
+    "e_set": "5f14f33aff4c3518",
+    "Vertex.hit": "d483252ffd80a5e3",
+}
+
+
+def test_oracle_domain_is_pinned():
+    assert len(domain()) == DOMAIN_SIZE
+    assert _digest(domain()) == DOMAIN_PIN
+
+
+@pytest.mark.parametrize("name", list(ORACLES))
+def test_oracle_answer_is_pinned(name):
+    assert oracle_digest(name) == ORACLE_PINS[name]

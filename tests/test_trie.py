@@ -22,8 +22,10 @@ from earring.graph import (
     ray_vertex,
     survives,
 )
-from earring.lifting import lift_word
-from earring.words import anchor, anchor_length, index_of, invert, nth_word, reduce_word
+from earring.charts import _random_point, charts_containing, local_inverse, q_point
+from earring.lifting import endpoint, lift_ray_inverse, lift_word
+from earring.words import (anchor, anchor_length, index_of, invert, nth_word, reduce_word,
+                           zigzag_prefix)
 
 
 def _check_vertex(v, w):
@@ -133,12 +135,21 @@ class TestTrieAgainstWords:
     def test_balls_cache_off(self, cache_off):
         assert _ball_domains() > 1_000
 
-    def test_old_vertices_survive_a_reset(self):
-        v = Vertex.make(reduce_word(anchor(9) + (3, 3)))
+    def test_old_vertices_still_answer_after_a_reset(self):
+        # a reset starts a new trie: a vertex made before it keeps its word,
+        # its answers and its steps, but it is not the vertex of its word in
+        # the new trie, since `==` is `is`; across a reset, compare .word
+        w = reduce_word(anchor(9) + (3, 3))
+        v = Vertex.make(w)
         reset_caches()
-        assert Vertex.make(v.word) == v
-        assert v.step(-3)[1] == Vertex.make(anchor(9) + (3,))
-        assert base_vertex() == Vertex.make(())
+        assert v.word == w
+        assert v.hit == classify(w) and v.hit.kind == "L"
+        assert v.e_set == e_set(w)
+        assert v.step(-3)[1].word == anchor(9) + (3,)
+        assert v.step(3)[1].word == w + (3,)
+        assert v.step(4) == ("loop", v)
+        assert Vertex.make(v.word).word == v.word
+        assert Vertex.make(w) is not v
 
 
 class TestRayVertices:
@@ -320,3 +331,63 @@ class TestChildSlot:
         assert size <= 160 * len(w)
         assert tracked <= 1.1 * len(w)
         reset_caches()
+
+
+class TestOneObjectByEveryRoute:
+    """A word has one live vertex in the current trie, whichever route
+    reaches it: the letter-by-letter step, `Vertex.make`, a segment rule
+    or a chart.  This is what makes `==` on vertices the identity test."""
+
+    def test_witness_replay_meets_its_certificate(self):
+        checked = 0
+        for j in range(1, 61):
+            w = nth_word(j)
+            if not reduce_word(w):
+                continue
+            cert = witness_conjugator(w)
+            n = len(cert.beta)
+            at = (cert.trace.start,) + tuple(step.at for step in cert.trace.steps)
+            assert at[n] is cert.midpoint
+            assert at[2 * n + len(w) - cert.unwind] is cert.turn
+            assert at[-1] is cert.conjugate_endpoint
+            checked += 1
+        assert checked == 54
+
+    def test_anchor_by_every_route(self):
+        for j in (1, 9, 60, 1000):
+            v = Vertex.make(anchor(j))
+            assert endpoint(anchor(j)) is v
+            assert ray_vertex(anchor_length(j)) is v
+
+    def test_segment_rule_meets_the_steps(self):
+        rng = random.Random(17)
+        for j in range(1, 61):
+            w = nth_word(j)
+            v = endpoint(w, ray_vertex(anchor_length(j)))
+            for n in (1, 2, rng.randrange(1, anchor_length(j) + 3)):
+                u, m = lift_ray_inverse(v, n)
+                assert endpoint(invert(zigzag_prefix(n))[:n - m], v) is u
+
+    def test_atlas_round_trip_returns_the_same_vertices(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            p = _random_point(rng)
+            for c in charts_containing(p):
+                back = local_inverse(c, q_point(p))
+                if p.is_vertex:
+                    assert back.vertex is p.vertex is c.owner
+                    continue
+                assert back.edge.base is p.edge.base
+                assert back.edge.terminal is p.edge.terminal
+                if c.tag == "vertex":
+                    assert c.owner in (p.edge.base, p.edge.terminal)
+
+    def test_equality_is_identity(self):
+        from earring import graph
+        assert Vertex.__eq__ is object.__eq__ and Vertex.__hash__ is object.__hash__
+        assert "__eq__" not in vars(graph._RayVertex)
+        assert "__hash__" not in vars(graph._RayVertex)
+
+    def test_far_ray_vertex_is_its_parent_s_child(self):
+        v = ray_vertex(10 ** 50 + 1)
+        assert v.parent.step(1)[1] is v
