@@ -7,14 +7,16 @@ any other value makes `cache_limit` raise ValueError.  Its cost is an
 estimate, 128 bytes plus 8 per letter of each key; when the next entry
 would pass the cap the whole table is cleared, an entry that alone costs
 more than the cap is not stored and clears nothing, and 0 keeps it empty.
-Island data is memoised in a table cleared whole at 1,024 entries, and
-each trie vertex's island hit holds its own island's data.  The trie of
-visited vertices and the class table of the word enumeration are not
-bounded; ray vertices are registered weakly.  `reset_caches()` drops all
-of them, so it starts a new trie: a vertex made before it still answers
-and steps, but vertices compare by identity, so across a reset compare
-their `.word`.  Caches are transparent: every result is recomputable, so
-capping or disabling them never changes observable behavior.
+Island data is not memoised: it hangs on its anchor vertex as that
+vertex's island hit, and each trie vertex's island hit holds its own
+island's data.  The trie of visited vertices and the class table of the
+word enumeration are not bounded; ray vertices are registered weakly.
+`reset_caches()` drops all of them, so it starts a new trie.  A vertex
+made before it still reads `.word`, `.depth` and `.tail` and keeps the
+answers it has already read; a first read of its `hit` or `e_set`, and
+its steps, are not defined, so re-make it with `Vertex.make(v.word)`.
+Caches are transparent: every result is recomputable, so capping or
+disabling them never changes observable behavior.
 """
 
 from __future__ import annotations

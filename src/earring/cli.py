@@ -220,8 +220,7 @@ def _zpath(args):
     data = graph.island_data(args.j)
     _emit(args, {"input": str(args.j), "word": format_word(data.word),
                  "anchor_length": data.anchor_len, "level": data.level,
-                 "z_path": [format_ray_word(p, " ".join(map(str, tail)), 0, n)
-                            for n, p, tail in data.path]})
+                 "z_path": [_vertex_text(z) for z in data.path]})
 
 
 @command("crosscheck", "compare the two removal rules near island j", ("j", int),

@@ -94,9 +94,10 @@ class MidpointReport(NamedTuple):
 def midpoint_structure_check(cert: ConjugationCertificate) -> MidpointReport:
     """Verify that the middle segment of the certificate's lift follows
     the island's anchored edge-path vertex for vertex, and never leaves
-    the island before the conjugator unwinds.  A vertex is compared by its
-    record (depth, ray agreement, tail) and never spelled: no letter of
-    the ray prefix R[:|beta|] is read, so the check answers at any index."""
+    the island before the conjugator unwinds.  The island's edge-path
+    vertices are trie vertices, and a word has one live vertex, so a step
+    is compared with `is` in O(1) and nothing is spelled: the check
+    answers at any index."""
     data = island_data(cert.j)
     middle = lift_word(cert.word, start=cert.midpoint)
     records = []
@@ -106,7 +107,7 @@ def midpoint_structure_check(cert: ConjugationCertificate) -> MidpointReport:
         at = step.at
         # every letter of w is an island label, as n_j = max(2, max index
         # in w): each step must be a tree step onto the edge-path vertex
-        agree = step.kind == "tree" and (at.depth, at.ray_len, at.tail) == data.path[i + 1]
+        agree = step.kind == "tree" and at is data.path[i + 1]
         ok = ok and agree
         hit = at.hit
         if hit is None or hit.j != cert.j:

@@ -41,31 +41,30 @@ def ray_agreement(w: Word) -> int:
 
 
 # --- island data -----------------------------------------------------------
-# An edge-path vertex z of island j is held as a record (len, ray_len, tail):
-# z = R[:ray_len] + tail, with R the zig-zag ray and tail empty or starting
-# off the ray.  The path walks |w_j| letters from the anchor, so ray_len is
-# within |w_j| of anchor_length(j) and every tail has at most |w_j| letters.
-# A word has one record, so records are equal exactly when their words are.
+# The anchored edge-path Z_j is a path in the trie: island_data walks w_j
+# from the anchor vertex R[:anchor_length(j)] by tree steps, so each
+# edge-path vertex is the one live vertex of its word, and two of them are
+# the same vertex exactly when they are the same object.
 
 class _IslandFields(NamedTuple):
     j: int
     word: Word
     level: int          # n_j = max(2, max index in word)
     anchor_len: int
-    path: tuple         # |word|+1 records, with repeats
-    records: tuple      # deduplicated, in word order
-    max_len: int        # longest edge-path vertex
+    path: tuple         # |word|+1 vertices, with repeats
+    records: tuple      # the distinct vertices of path, sorted by word
+    max_len: int        # depth of the longest edge-path vertex
 
 
 class IslandData(_IslandFields):
     """Everything attached to enumeration index j: the word, the length
-    of its anchor, the level n_j, and the anchored edge-path vertices.  A
-    named tuple of its fields; the vertices are kept as records, and
-    `z_path` and `z_set` spell them out on first read.  `bases` strips
-    each record of its final run on the first line test.  A vertex's
-    island hit holds its island's data, so the data lives as long as the
-    vertices that located it.  The repr leaves out `path`, `records` and
-    `max_len`."""
+    of its anchor, the level n_j, and the anchored edge-path vertices,
+    which are trie vertices.  A named tuple of its fields; `z_path` and
+    `z_set` spell the vertices on first read, and `bases` strips each
+    vertex of its final run on the first line test.  The data hangs on its anchor
+    vertex as that vertex's island hit, and every vertex's hit holds its
+    island's data, so it lives as long as the anchor or a vertex that
+    located it.  The repr leaves out `path`, `records` and `max_len`."""
 
     def __repr__(self):
         return (f"IslandData(j={self.j!r}, word={self.word!r}, level={self.level!r}, "
@@ -73,85 +72,48 @@ class IslandData(_IslandFields):
 
     @cached_property
     def bases(self) -> tuple:
-        """(s, b, base) per record, by `_strip`."""
-        return tuple(map(_strip, self.records))
+        """(t, b, base(z)) per vertex z of `records`: z = base(z) . a_t^b,
+        b signed, and base(z) does not end in a_t^{+-1}."""
+        return tuple((abs(z.letter), z.run if z.letter > 0 else -z.run, _base(z))
+                     for z in self.records)
 
     @cached_property
     def z_path(self) -> tuple:
-        spelled = {rec: zigzag_prefix(rec[1]) + rec[2] for rec in self.records}
-        return tuple(spelled[rec] for rec in self.path)
+        spelled = {z: z.word for z in self.records}
+        return tuple(spelled[z] for z in self.path)
 
     @cached_property
     def z_set(self) -> frozenset:
         return frozenset(self.z_path)
 
 
-def _suffix_run(w: Word) -> int:
-    """Length of the maximal constant-letter suffix run of w."""
-    if not w:
-        return 0
-    last = w[-1]
-    n = len(w)
-    r = 1
-    while r < n and w[n - 1 - r] == last:
-        r += 1
-    return r
-
-
-def _strip(rec: tuple) -> tuple:
-    """(s, b, base) for the edge-path vertex z with record rec: z = base .
-    a_s^b, b signed, and base, also a record, does not end in a_s^{+-1}.
-    The ray alternates, so z's final run reaches at most one letter back
-    into it."""
-    n, p, tail = rec
-    w = ray_run(max(p - 1, 0), p) + tail
-    run = _suffix_run(w)
-    m = n - run
-    return abs(w[-1]), run if w[-1] > 0 else -run, (m, min(p, m), tail[:max(0, m - p)])
-
-
-# j -> IslandData, a memo of recent builds for the repeats of one walk: it
-# is cleared whole when it reaches _ISLAND_MEMO entries
-_ISLAND_MEMO = 1024
-_islands: dict = {}
+def _base(v: "Vertex") -> "Vertex":
+    """The vertex before v's final run: `run_start`, or the ray vertex
+    where the run starts when it starts on the ray."""
+    start = v.run_start
+    return start if start is not None else _ray(v.depth - v.run)
 
 
 def island_data(j: int) -> IslandData:
-    j = operator.index(j)  # True and 2.0 hash as the memo keys 1 and 2
+    j = operator.index(j)  # True is island 1, and 2.0 is refused
     if j < 1:
         raise ValueError("island index must be >= 1")
-    cached = _islands.get(j)
-    if cached is not None:
-        return cached
+    # the anchor is a Z vertex of its own island, so its hit holds the data
+    z = _ray(anchor_length(j))
+    if z._hit is not None:
+        return z._hit.data
     wj = nth_word(j)
-    level = max(2, max(abs(x) for x in wj))
-    n = p = anchor_length(j)
-    tail: Word = ()
-    path = [(n, p, tail)]
+    path = [z]
     for x in wj:
-        # free cancellation of z . x, with z = R[:p] + tail
-        if tail:
-            tail = tail[:-1] if tail[-1] == -x else tail + (x,)
-        elif n and _ray_letter(n - 1) == -x:
-            p -= 1
-        elif x == _ray_letter(n):
-            p += 1
-        else:
-            tail = (x,)
-        n = p + len(tail)
-        path.append((n, p, tail))
-    # every record starts with R[:common], so the rest orders them as words
-    common = min(rec[1] for rec in path)
-
-    def rest(rec):
-        return ray_run(common, rec[1]) + rec[2]
-
-    records = tuple(sorted(set(path), key=rest))
-    data = IslandData(j, wj, level, path[0][0], tuple(path), records,
-                      max(rec[0] for rec in records))
-    if len(_islands) >= _ISLAND_MEMO:
-        _islands.clear()
-    _islands[j] = data
+        # every letter of w_j is a tree label on Z_j: the tree half of `step`
+        z = z.parent if x == -z.letter else z._child(x)
+        path.append(z)
+    # every vertex starts with R[:common], so the rest orders them as words
+    common = min(z.ray_len for z in path)
+    records = tuple(sorted(set(path), key=lambda z: ray_run(common, z.ray_len) + z.tail))
+    data = IslandData(j, wj, max(2, max(map(abs, wj))), path[0].depth, tuple(path),
+                      records, max(z.depth for z in records))
+    path[0]._hit = IslandHit(data, "Z")
     return data
 
 
@@ -159,8 +121,9 @@ class IslandHit(NamedTuple):
     """Membership certificate: v lies in island `j`, either on the
     anchored edge-path (kind 'Z') or strictly on a line through it (kind
     'L'), v = reduce(u . a_s^r).  The hit holds its island's data and the
-    index k of u among `data.records`; `u` is spelled only when read,
-    since it has about anchor_length(j) letters."""
+    index k of the line base u among `data.records`, which are vertices;
+    `u` is spelled only when read, since it has about anchor_length(j)
+    letters."""
 
     data: IslandData
     kind: str                 # 'Z' or 'L'
@@ -175,37 +138,30 @@ class IslandHit(NamedTuple):
     @property
     def u(self) -> Optional[Word]:
         """The line base vertex for kind 'L', spelled; None for kind 'Z'."""
-        if self.k is None:
-            return None
-        _, p, tail = self.data.records[self.k]
-        return zigzag_prefix(p) + tail
+        return None if self.k is None else self.data.records[self.k].word
 
 
-def _match_island(data: IslandData, n: int, p: int, run: int, last: int,
-                  mid: Word) -> Optional[IslandHit]:
-    """Island membership of v in island j = data.j, where v has length n,
-    ray agreement p, and ends in a run of `run` letters `last`, and mid is
-    v[p:n-run].  v is a Z vertex z, or lies on a line reduce(z . a_s^r)
-    with r != 0 and s <= n_j.  Strip each word of its final run, z =
-    base(z) . a_t^b and v = base(v) . a_{|last|}^c: v is on that line
-    exactly when base(v) = base(z) with s = t = |last|, or base(v) = z with
-    s = |last| (not t), or v = base(z) with s = t, and r = c - b with the
-    run of a letter other than a_s counted as 0.  The hit names the first
-    such z in `data.records`.  v's own record is spelled only when n <=
-    data.max_len: a longer v is neither an edge-path vertex nor the
-    stripped base of one, so its record would match nothing."""
-    vrec = (n, p, mid + (last,) * (n - p - len(mid))) if n <= data.max_len else None
-    if vrec in data.records:
+def _match_island(data: IslandData, v: "Vertex") -> Optional[IslandHit]:
+    """Island membership of the vertex v in island j = data.j.  v is a Z
+    vertex z, or lies on a line reduce(z . a_s^r) with r != 0 and s <=
+    n_j.  Strip each vertex of its final run, z = base(z) . a_t^b and v =
+    base(v) . a_{|last|}^c, b and c signed: v is on that line exactly when
+    base(v) is base(z) with s = t = |last|, or base(v) is z with s = |last|
+    (not t), or v is base(z) with s = t, and r = c - b with the run of a
+    letter other than a_s counted as 0.  A word has one live vertex, so
+    `is` compares words and nothing is spelled.  The hit names the first
+    such z in `data.records`."""
+    if v in data.records:
         return IslandHit(data, "Z")
-    m = n - run
-    vbase = (m, min(p, m), mid)
-    c = run if last > 0 else -run
+    vbase = _base(v)
+    last = v.letter
+    c = v.run if last > 0 else -v.run
     for k, (t, b, base) in enumerate(data.bases):
-        if base == vbase and t == abs(last):
+        if base is vbase and t == abs(last):
             s, r = t, c - b
-        elif vbase == data.records[k]:
+        elif vbase is data.records[k]:
             s, r = abs(last), c
-        elif base == vrec:
+        elif base is v:
             s, r = t, -b
         else:
             continue
@@ -214,15 +170,14 @@ def _match_island(data: IslandData, n: int, p: int, run: int, last: int,
     return None
 
 
-def _locate(n: int, p: int, run: int, last: int, middle) -> Optional[IslandHit]:
-    """Island hit of the reduced word v of length n with ray
-    agreement p, whose final constant-letter run has `run` letters
-    `last`; middle() gives v[p:n-run].  The word rule behind `classify`
-    and the trie rule behind `Vertex` both come here."""
+def _locate(v: "Vertex") -> Optional[IslandHit]:
+    """Island hit of the trie vertex v: the one island rule, behind
+    `Vertex.hit` and so behind `classify`."""
     # every vertex of island j agrees with the zig-zag ray on a prefix
     # within |w_j| + 1 of anchor_length(j), and consecutive anchors are
     # |w_j| + 3 + |w_{j+1}| apart: only the last anchor at or before p
     # or the next one can be that close, and at most one of them is
+    p = v.ray_len
     j = anchor_index(p)
     if j == 0 or p - anchor_length(j) > word_length(j) + 1:
         j += 1
@@ -230,32 +185,23 @@ def _locate(n: int, p: int, run: int, last: int, middle) -> Optional[IslandHit]:
             return None
     data = island_data(j)
     # every island vertex is z or reduce(z . a_s^r) with the power inside
-    # v's final run, so v[:n-run] fits inside some z; with p near the
-    # anchor length this bounds |mid| by 2|w_j| + 1
-    if n - run > data.max_len:
+    # v's final run, so base(v) fits inside some z
+    if v.depth - v.run > data.max_len:
         return None
-    return _match_island(data, n, p, run, last, middle())
+    return _match_island(data, v)
 
 
 def classify(v: Word) -> Optional[IslandHit]:
-    """Island membership of a reduced word, or None: the word-level twin
-    of `Vertex.hit`, which reads the word's letters instead of the
-    trie."""
-    if not v:
-        return None
-    if not is_reduced(v):
-        raise ValueError("island membership is defined only for reduced words")
-    n = len(v)
-    p = ray_agreement(v)
-    run = _suffix_run(v)
-    return _locate(n, p, run, v[-1], lambda: v[p:n - run])
+    """Island membership of a reduced word, or None: the hit of its trie
+    vertex, as `Vertex.hit` gives it, and None for a pruned word, since
+    every island vertex survives the pruning."""
+    node = _vertex_of(v)
+    return node.hit if node else None
 
 
 def island_of(v: Word) -> Optional[int]:
-    """The unique island index containing v, or None.  A pruned word lies
-    on no island: every island vertex survives the pruning."""
-    node = _vertex_of(v)
-    hit = node and node.hit
+    """The unique island index containing v, or None, by `classify`."""
+    hit = classify(v)
     return hit.j if hit else None
 
 
@@ -406,8 +352,9 @@ class Vertex:
 
     `step` is the one step rule: every letter applied to a vertex goes
     through it, except in the two segment rules, `ray_vertex` and
-    `lifting.lift_ray_inverse`, and in `island_data`'s record arithmetic,
-    which the midpoint check compares the lift with.
+    `lifting.lift_ray_inverse`.  `island_data` walks an edge-path with
+    its tree half, `parent` or `_child`, since every letter of w_j is a
+    tree label on Z_j.
 
     `_children` holds None, the only child (which knows its own letter),
     or a dict letter -> child once the vertex branches: most vertices on a
@@ -417,8 +364,10 @@ class Vertex:
     A word has one live vertex in the current trie: only `_child` makes a
     child, and only `_ray` a ray vertex.  So `==` is `is`, and a vertex
     hashes by identity.  `reset_caches()` starts a new trie, so a vertex
-    made before it is not the vertex of its word made after it; across a
-    reset, compare `.word`."""
+    made before it is not the vertex of its word made after it: it still
+    reads `word`, `depth` and `tail` and keeps the answers it has read,
+    but a first read of its `hit` or `e_set`, and its steps, are not
+    defined.  Re-make it with `Vertex.make(v.word)`."""
 
     __slots__ = ("parent", "letter", "depth", "ray_len", "run", "run_start",
                  "_hit", "_e_set", "_children")
@@ -443,9 +392,7 @@ class Vertex:
         """Locate the island, store the hit and its labels, and return the
         labels.  Both depend on the word alone, so this runs at most once
         per node."""
-        start, p = self.run_start, self.ray_len
-        self._hit = hit = _locate(self.depth, p, self.run, self.letter,
-                                  lambda: _letters(start, p) if start is not None else ())
+        self._hit = hit = _locate(self)
         self._e_set = labels = _labels(hit)
         return labels
 
@@ -491,6 +438,11 @@ class Vertex:
             return kids
         n = self.depth
         if self.ray_len == n and letter == _ray_letter(n):
+            # a ray vertex from before a reset would register its child as
+            # the new trie's R[:n+1], below a second live R[:n]
+            if (_rays.get(n) if n else _root) is not self:
+                raise ValueError("a vertex made before reset_caches() makes no ray "
+                                 "child; re-make it with Vertex.make(v.word)")
             node = _ray(n + 1, self)
         else:
             node = Vertex(self, letter)
@@ -526,8 +478,8 @@ class _RayVertex(Vertex):
     its parent: one of the two kinds of vertex, beside the children that
     `Vertex` makes.  The base point is R[:0]; its letter and final run are
     0 and it has no parent.  It steps by `Vertex.step`, the one step rule,
-    which only `ray_vertex`, `lift_ray_inverse` and `island_data`'s record
-    arithmetic bypass.  It is made only by `_ray`, which registers it, so
+    which only the segment rules `ray_vertex` and `lift_ray_inverse`
+    bypass.  It is made only by `_ray`, which registers it, so
     it is the one live vertex of its ray word and compares by identity."""
 
     __slots__ = ("__weakref__",)
@@ -585,7 +537,6 @@ def _drop_caches() -> None:
     _rays.clear()
     _index.clear()
     _index_bytes = 0
-    _islands.clear()
 
 
 def base_vertex() -> Vertex:
@@ -653,7 +604,7 @@ def removal_cross_check(j: int, radius: int) -> CrossCheckReport:
     # lines out to radius + 2 steps: at most 1 + 2 n_j (radius + 2) words
     # of at most |z| + radius + 2 letters each; refuse before spelling them
     reach = radius + 2
-    letters = sum((1 + 2 * data.level * reach) * (n + reach) for n, _, _ in data.records)
+    letters = sum((1 + 2 * data.level * reach) * (z.depth + reach) for z in data.records)
     if letters > words.MAX_LIFT_LETTERS:
         raise ValueError(f"the cross-check of island {j} at radius {radius} would spell "
                          f"up to {letters} letters, more than {words.MAX_LIFT_LETTERS}")

@@ -101,8 +101,8 @@ class TestMidpointStructure:
 
     @pytest.mark.parametrize("w", [(12,), (40,), (12, 3)])
     def test_far_witnesses_answer_quickly(self, w):
-        # |beta| is 777,124,938 letters for (12,): the check reads
-        # records and tails, and spells no vertex.  Only plain values are
+        # |beta| is 777,124,938 letters for (12,): the check compares
+        # vertices by identity, and spells none.  Only plain values are
         # asserted, since a failing assert would show the report, whose
         # vertices spell their words
         t0 = time.perf_counter()

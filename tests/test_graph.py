@@ -185,8 +185,8 @@ class TestSurvives:
 
 
 ENTRY_POINTS = pytest.mark.parametrize(
-    "entry", [survives, island_of, e_set, Vertex.make],
-    ids=["survives", "island_of", "e_set", "Vertex.make"])
+    "entry", [survives, island_of, e_set, Vertex.make, classify],
+    ids=["survives", "island_of", "e_set", "Vertex.make", "classify"])
 
 
 class TestInputValidation:
@@ -198,6 +198,11 @@ class TestInputValidation:
         entry((1, 2))
         with pytest.raises(ValueError, match="invalid letter"):
             entry(bad)
+
+    def test_classify_refuses_a_bool_anchor_letter(self):
+        # (True, 2, 1, 2, ...) equals anchor(3) letter by letter
+        with pytest.raises(ValueError, match="invalid letter"):
+            classify((True, 2) + anchor(3)[2:])
 
     @ENTRY_POINTS
     @pytest.mark.parametrize("bad", [(1, -1), (1, 2, -2), (3, -3)])
@@ -384,14 +389,14 @@ class TestIslandHit:
 
     def test_far_line_hit_answers_quickly(self):
         # R[:n] a_12 a_12 with n = 777,124,938: the hit names its line base
-        # by its record; reading hit.u would spell n letters
+        # by its vertex; reading hit.u would spell n letters
         t0 = time.perf_counter()
         j = 41_501_135
         n = anchor_length(j)
         v = ray_vertex(n).step(12)[1].step(12)[1]
         hit = v.hit
         assert (hit.j, hit.kind, hit.s, hit.r) == (j, "L", 12, 2)
-        assert hit.data.records[hit.k] == (n, n, ())
+        assert hit.data.records[hit.k] is ray_vertex(n)
         assert time.perf_counter() - t0 < 1
 
 
@@ -539,7 +544,7 @@ def _definitional_island(v):
 class TestDefinitionalMembership:
     """Island membership from `classify` against `_definitional_island`,
     which spells every island from its anchor and word and uses none of
-    the records, the anchor index or the two-candidate window."""
+    the trie, the anchor index or the two-candidate window."""
 
     def test_exhaustive_near_edge_paths(self):
         # every reduced word of length <= 2 over a_1 .. a_5, grafted onto

@@ -1,5 +1,6 @@
 """Same answers, committed: the CLI's output pinned invocation by
-invocation, and the oracles pinned over a bounded domain of words.
+invocation, the oracles pinned over a bounded domain of words, and the
+demos' output pinned demo by demo.
 
 Each invocation below runs in-process through `cli.main`.  Its pin is the
 first 16 hex digits of the SHA-256 of the JSON array [exit code, stdout,
@@ -13,11 +14,15 @@ the same kind of digest, of the JSON list of its words in sorted order,
 and each oracle's pin is the digest of its answers in that order (on the
 survivors only, for `e_set` and `Vertex.hit`).
 
-A change that moves an answer on purpose repins that invocation or oracle
-alone.  Print its new digest with
+Each demo runs in-process with `runpy`, as `__main__`; its pin is the
+first 16 hex digits of the SHA-256 of its stdout.
+
+A change that moves an answer on purpose repins that invocation, oracle
+or demo alone.  Print its new digest with
 
     PYTHONPATH=src:tests python -c "from test_same_answers import answer_digest; print(answer_digest('zpath 9'))"
     PYTHONPATH=src:tests python -c "from test_same_answers import oracle_digest; print(oracle_digest('classify'))"
+    PYTHONPATH=src:tests python -c "from test_same_answers import demo_digest; print(demo_digest('01_pruned_graph.py'))"
 
 replace its entry in PINS or ORACLE_PINS, and say in CHANGES.md which
 answer moved and why.
@@ -28,6 +33,8 @@ import functools
 import hashlib
 import io
 import json
+import os
+import runpy
 
 import pytest
 
@@ -219,3 +226,32 @@ def test_oracle_domain_is_pinned():
 @pytest.mark.parametrize("name", list(ORACLES))
 def test_oracle_answer_is_pinned(name):
     assert oracle_digest(name) == ORACLE_PINS[name]
+
+
+# --- the demos -----------------------------------------------------------------
+
+DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "demos")
+
+# demo file -> digest of its stdout
+DEMO_PINS = {
+    "01_pruned_graph.py": "126e5ab4f91241b4",
+    "02_lifting.py": "a795d3e8388f09e1",
+    "03_core_freeness.py": "46c22c40bb1100ee",
+    "04_atlas.py": "2a7156aa6655bcb4",
+}
+
+
+def demo_digest(name: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(os.path.join(DEMOS, name), run_name="__main__")
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+
+
+def test_every_demo_is_pinned():
+    assert sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")) == sorted(DEMO_PINS)
+
+
+@pytest.mark.parametrize("name", list(DEMO_PINS))
+def test_demo_output_is_pinned(name):
+    assert demo_digest(name) == DEMO_PINS[name]

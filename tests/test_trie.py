@@ -135,21 +135,30 @@ class TestTrieAgainstWords:
     def test_balls_cache_off(self, cache_off):
         assert _ball_domains() > 1_000
 
-    def test_old_vertices_still_answer_after_a_reset(self):
-        # a reset starts a new trie: a vertex made before it keeps its word,
-        # its answers and its steps, but it is not the vertex of its word in
-        # the new trie, since `==` is `is`; across a reset, compare .word
+    def test_old_vertices_keep_what_they_read_after_a_reset(self):
+        # a reset starts a new trie: a vertex made before it still reads its
+        # word, depth and tail, and keeps the answers it has already read,
+        # but it is not the vertex of its word in the new trie; re-make it
         w = reduce_word(anchor(9) + (3, 3))
         v = Vertex.make(w)
+        hit, labels = v.hit, v.e_set
         reset_caches()
-        assert v.word == w
-        assert v.hit == classify(w) and v.hit.kind == "L"
-        assert v.e_set == e_set(w)
-        assert v.step(-3)[1].word == anchor(9) + (3,)
-        assert v.step(3)[1].word == w + (3,)
-        assert v.step(4) == ("loop", v)
-        assert Vertex.make(v.word).word == v.word
-        assert Vertex.make(w) is not v
+        assert (v.word, v.depth, v.tail) == (w, len(w), w[ray_agreement(w):])
+        assert v.hit is hit and v.e_set is labels
+        u = Vertex.make(v.word)
+        assert u is not v and u is Vertex.make(w)
+        assert (u.hit.j, u.hit.kind, u.hit.s, u.hit.r) == (hit.j, hit.kind, hit.s, hit.r)
+        assert u.e_set == labels
+
+    def test_an_old_ray_vertex_makes_no_ray_child(self):
+        # its child would be registered as the new trie's R[:6], below a
+        # second live R[:5]
+        old = ray_vertex(5)
+        reset_caches()
+        with pytest.raises(ValueError, match="reset_caches"):
+            old.step(2)
+        assert ray_vertex(6).parent is ray_vertex(5)
+        assert Vertex.make(zigzag_prefix(6)).parent is Vertex.make(zigzag_prefix(5))
 
 
 class TestRayVertices:
@@ -242,13 +251,14 @@ class TestMemoryScaling:
         assert peak <= 60 * 2**20
 
     def test_island_data_is_held_by_its_users(self):
-        # the weight-7 scan locates 1,537 islands; the memo of recent builds
-        # is cleared whole at 1,024 entries, and the rest is held by the
-        # vertices whose hits located it
+        # the weight-7 scan locates 1,537 islands; each one's data hangs on
+        # its anchor vertex, and a witness's anchor goes with its
+        # certificate.  Only island 1 stays: its anchor R[:4] is on the
+        # paths from the base point that the short lifts of in_k walk
         reset_caches()
         core_free_scan(7)
         gc.collect()
-        assert sum(isinstance(o, IslandData) for o in gc.get_objects()) <= 1_024
+        assert sum(isinstance(o, IslandData) for o in gc.get_objects()) <= 1
 
 
 def _walk(w):
