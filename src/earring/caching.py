@@ -13,8 +13,9 @@ island's data.  The trie of visited vertices and the class table of the
 word enumeration are not bounded; ray vertices are registered weakly.
 `reset_caches()` drops all of them, so it starts a new trie.  A vertex
 made before it still reads `.word`, `.depth` and `.tail` and keeps the
-answers it has already read; a first read of its `hit` or `e_set`, and
-its steps, are not defined, so re-make it with `Vertex.make(v.word)`.
+answers it has already read; a first read of its `hit` or `e_set` raises
+ValueError, and its steps are not defined, so re-make it with
+`Vertex.make(v.word)`.
 Caches are transparent: every result is recomputable, so capping or
 disabling them never changes observable behavior.
 """
@@ -26,7 +27,6 @@ import os
 _DEFAULT_LIMIT = 1024 * 2**20
 
 _limit: int | None = None
-_resets: list = []
 
 
 def cache_limit() -> int:
@@ -41,15 +41,11 @@ def cache_limit() -> int:
 
 
 def reset_caches() -> None:
-    """Drop everything registered with `on_reset`; the byte cap is read
-    again from the environment on its next use."""
+    """Drop the class table, the word index and the trie; the byte cap is
+    read again from the environment on its next use."""
     global _limit
-    for fn in _resets:
-        fn()
+    # graph imports this module, so it is imported here, when called
+    from . import graph, words
+    words._drop_classes()
+    graph._drop_caches()
     _limit = None
-
-
-def on_reset(fn):
-    """Register fn to be called by reset_caches."""
-    _resets.append(fn)
-    return fn

@@ -5,7 +5,8 @@
 `earring --help` lists the commands and `earring COMMAND --help` shows
 one.  Output is one line of text per invocation, or one JSON object with
 ``--json``.  Exit codes: 0 ok, 1 usage or precondition error, 2 a scan
-found a property violation.
+found a property violation.  A refusal is `COMMAND: error: MESSAGE` on
+stderr, or with ``--json`` one object with status "error" on stdout.
 
 Every command is one entry of COMMANDS, which holds its help line, its
 arguments, its options and its handler; the parser and the help text are
@@ -39,7 +40,8 @@ def command(name: str, help_line: str, *arguments, **options):
     (name, type) pair.  An option's default gives its kind: False for a
     flag, an int or a str for a value of that type, and a type for a value
     of that type that must be given.  A handler returns the exit code, or
-    None for 0."""
+    None for 0; it refuses its input by raising ValueError, which `main`
+    writes."""
     def enter(handler):
         COMMANDS[name] = (help_line, arguments, options, handler)
         return handler
@@ -135,20 +137,16 @@ def _parse(argv) -> SimpleNamespace:
     return SimpleNamespace(json=as_json, command=name, **values)
 
 
-def _emit(args, payload, status="ok", message=None):
-    command = args.command
+def _emit(args, payload):
+    """Write a handler's answer: `COMMAND INPUT: key=value ...`, or with
+    --json one object whose status is "ok".  A refusal is raised, and
+    `main` alone writes it."""
     if args.json:
-        obj = {"command": command, "input": payload.pop("input", None), "output": payload,
-               "status": status}
-        if message:
-            obj["message"] = message
-        print(json.dumps(obj, sort_keys=True))
+        print(json.dumps({"command": args.command, "input": payload.pop("input", None),
+                          "output": payload, "status": "ok"}, sort_keys=True))
     else:
-        if status != "ok":
-            print(f"{command}: error: {message}")
-        else:
-            parts = [f"{k}={v}" for k, v in payload.items() if k != "input"]
-            print(f"{command} {payload.get('input', '')}: " + " ".join(parts))
+        parts = [f"{k}={v}" for k, v in payload.items() if k != "input"]
+        print(f"{args.command} {payload.get('input', '')}: " + " ".join(parts))
 
 
 def _vertex_text(v, unwind: int = 0) -> str:
@@ -210,8 +208,7 @@ def _island(args):
 def _ev(args):
     v = words.reduce_word(args.word)
     if not graph.survives(v):
-        _emit(args, {"input": args.wtext}, "error", "vertex does not survive")
-        return 1
+        raise ValueError("vertex does not survive")
     _emit(args, {"input": args.wtext, "e_set": sorted(graph.e_set(v))})
 
 
@@ -259,17 +256,7 @@ def _in_k(args):
 @command("witness", "conjugation certificate for an essential word", WORD, trace=False)
 def _witness(args):
     from . import corefree
-    try:
-        cert = corefree.witness_conjugator(args.word)
-    except ValueError as exc:
-        _emit(args, {"input": args.wtext}, "error", str(exc))
-        return 1
-    steps = 2 * cert.beta.length + len(args.word)
-    if args.trace and steps > words.MAX_LIFT_LETTERS:
-        _emit(args, {"input": args.wtext}, "error",
-              f"the lift of beta w beta^-1 has {steps} steps; --trace prints "
-              f"at most {words.MAX_LIFT_LETTERS}")
-        return 1
+    cert = corefree.witness_conjugator(args.word)
     payload = {"input": args.wtext, "j": cert.j, "beta_length": cert.beta.length,
                "midpoint": _vertex_text(cert.midpoint),
                "endpoint": _vertex_text(cert.turn, cert.unwind), "verdict": cert.verdict}
@@ -281,11 +268,7 @@ def _witness(args):
 @command("scan", "run the witness over all words up to a weight", max_weight=int)
 def _scan(args):
     from . import corefree
-    try:
-        report = corefree.core_free_scan(args.max_weight)
-    except ValueError as exc:
-        _emit(args, {"input": str(args.max_weight)}, "error", str(exc))
-        return 1
+    report = corefree.core_free_scan(args.max_weight)
     payload = {"input": str(args.max_weight), "checked": report.checked,
                "skipped": report.skipped, "failures": len(report.failures)}
     if args.json:
@@ -346,9 +329,12 @@ def main(argv: list | None = None) -> int:
                 args.wtext = format_word(args.word)
             code = COMMANDS[args.command][3](args) or 0
         except (ValueError, MemoryError) as exc:
+            # the one place a refusal is written; a word command's names the word
             message = str(exc) if isinstance(exc, ValueError) else "out of memory"
             if args.json:
-                _emit(args, {}, "error", message)
+                print(json.dumps({"command": args.command, "input": getattr(args, "wtext", None),
+                                  "message": message, "output": {}, "status": "error"},
+                                 sort_keys=True))
             else:
                 print(f"{args.command}: error: {message}", file=sys.stderr)
             code = 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Optional
 
+from . import words
 from .graph import Vertex, base_vertex, island_data, ray_vertex
 from .lifting import LiftTrace, endpoint, in_k, lift_ray_inverse, lift_word
 from .words import (RayPrefix, Word, anchor, anchor_length, check_word, format_word,
@@ -51,7 +52,12 @@ class ConjugationCertificate(_CertificateFields):
     @cached_property
     def trace(self) -> LiftTrace:
         """The lift of the spelled beta . word . beta^{-1} from the base
-        point; its steps replay the lift letter by letter."""
+        point; its steps replay the lift letter by letter.  Refused with
+        ValueError, before beta is spelled, past MAX_LIFT_LETTERS steps."""
+        steps = 2 * self.beta.length + len(self.word)
+        if steps > words.MAX_LIFT_LETTERS:
+            raise ValueError(f"the lift of beta w beta^-1 has {steps} steps; a trace "
+                             f"holds at most {words.MAX_LIFT_LETTERS}")
         beta = anchor(self.j)
         return LiftTrace(base_vertex(), beta + self.word + invert(beta),
                          self.conjugate_endpoint)

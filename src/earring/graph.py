@@ -15,7 +15,7 @@ from itertools import compress, count, cycle
 from typing import NamedTuple, Optional
 
 from . import words
-from .caching import cache_limit, on_reset
+from .caching import cache_limit
 from .words import (
     Word,
     _ray_letter,
@@ -218,6 +218,11 @@ def in_line(v: Word, u: Word, s: int) -> Optional[int]:
     v, u = check_word(v), check_word(u)
     if not is_reduced(u):
         raise ValueError("in_line expects a reduced base vertex")
+    return _line_offset(v, u, s)
+
+
+def _line_offset(v: Word, u: Word, s: int) -> Optional[int]:
+    """`in_line` on words it would accept, unchecked."""
     c = next(compress(count(), map(operator.ne, u, v)), min(len(u), len(v)))
     d = reduce_word(invert(u[c:]) + v[c:])
     if not d:
@@ -336,6 +341,12 @@ def _letters(node: "Vertex", stop: int) -> Word:
     return tuple(out)
 
 
+# the `_e_set` of a vertex of the current trie that has not located its
+# island; `reset_caches()` makes a new one, so a vertex of an older trie,
+# which must not be located among this trie's vertices, is told apart
+_unread = object()
+
+
 class Vertex:
     """A surviving vertex: a node of the trie of visited vertices, rooted
     at the base point.  Each node derives its depth, ray agreement and
@@ -366,8 +377,8 @@ class Vertex:
     hashes by identity.  `reset_caches()` starts a new trie, so a vertex
     made before it is not the vertex of its word made after it: it still
     reads `word`, `depth` and `tail` and keeps the answers it has read,
-    but a first read of its `hit` or `e_set`, and its steps, are not
-    defined.  Re-make it with `Vertex.make(v.word)`."""
+    but a first read of its `hit` or `e_set` raises ValueError, and its
+    steps are not defined.  Re-make it with `Vertex.make(v.word)`."""
 
     __slots__ = ("parent", "letter", "depth", "ray_len", "run", "run_start",
                  "_hit", "_e_set", "_children")
@@ -386,12 +397,16 @@ class Vertex:
             # the vertex before the final run, kept only off the ray: the
             # letters it spells for _locate start at ray_len
             self.run_start = parent if parent.depth > parent.ray_len else None
-        self._hit = self._e_set = self._children = None
+        self._hit = self._children = None
+        self._e_set = _unread
 
     def _classify(self) -> frozenset:
         """Locate the island, store the hit and its labels, and return the
         labels.  Both depend on the word alone, so this runs at most once
-        per node."""
+        per node, and only on a node of the current trie."""
+        if self._e_set is not _unread:
+            raise ValueError("a vertex made before reset_caches() is not located in the "
+                             "new trie; re-make it with Vertex.make(v.word)")
         self._hit = hit = _locate(self)
         self._e_set = labels = _labels(hit)
         return labels
@@ -400,7 +415,7 @@ class Vertex:
     def e_set(self) -> frozenset:
         """Labels of the tree edges at this vertex."""
         labels = self._e_set
-        return labels if labels is not None else self._classify()
+        return labels if labels.__class__ is frozenset else self._classify()
 
     @property
     def tail(self) -> Word:
@@ -414,7 +429,7 @@ class Vertex:
     @property
     def hit(self) -> Optional[IslandHit]:
         """Island membership certificate, as `classify` gives it."""
-        if self._e_set is None:
+        if self._e_set.__class__ is not frozenset:
             self._classify()
         return self._hit
 
@@ -489,7 +504,8 @@ class _RayVertex(Vertex):
         self.letter = depth and _ray_letter(depth - 1)
         self.depth = self.ray_len = depth
         self.run = min(depth, 1)
-        self.run_start = self._hit = self._e_set = self._children = None
+        self.run_start = self._hit = self._children = None
+        self._e_set = _unread
 
     @property
     def parent(self) -> Optional[Vertex]:
@@ -530,9 +546,11 @@ def ray_vertex(n: int) -> Vertex:
 _root = _RayVertex(0)
 
 
-@on_reset
 def _drop_caches() -> None:
-    global _index_bytes
+    """Start a new trie and empty the word index.  A new `_unread` marks
+    the new trie's unlocated vertices, so an old one refuses to locate."""
+    global _index_bytes, _unread
+    _unread = _root._e_set = object()
     _root._children = None
     _rays.clear()
     _index.clear()
@@ -562,7 +580,9 @@ def formula_removes(v: Word, j: int) -> bool:
     rather than by literal prefix matching; u . a_k^{+-1} itself never
     cancels and is therefore a literal prefix of v.  Both branches need
     k > 2 (n_j >= 2), so u = v[:t] is tried only where v[t] has index
-    above 2."""
+    above 2.  v is checked once, and each prefix goes to `in_line`'s test
+    unchecked."""
+    v = check_word(v)
     data = island_data(j)
     zset = data.z_set
     nj = data.level
@@ -574,7 +594,7 @@ def formula_removes(v: Word, j: int) -> bool:
             if k > nj:
                 return True
         # r != 0 branch: u strictly on a line through the edge-path
-        elif any(in_line(u, z, s) for z in zset for s in range(1, nj + 1) if s != k):
+        elif any(_line_offset(u, z, s) for z in zset for s in range(1, nj + 1) if s != k):
             return True
     return False
 

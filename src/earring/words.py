@@ -27,8 +27,6 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 
-from .caching import on_reset
-
 Letter = int
 Word = tuple  # tuple[int, ...]
 
@@ -127,7 +125,6 @@ def _add_weight() -> None:
         _letters_total += count * length
 
 
-@on_reset
 def _drop_classes() -> None:
     """Empty the class table; it grows again as far as the next index asked
     for.  After the words of weight 384 it holds about 52 MB."""

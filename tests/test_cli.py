@@ -276,7 +276,7 @@ class TestWitness:
             assert json.loads(out) == {"command": "witness", "input": letter, "output": {},
                                        "status": "error", "message": message}
         else:
-            assert (out, err) == (f"witness: error: {message}\n", "")
+            assert (out, err) == ("", f"witness: error: {message}\n")
 
     def test_trace_included_in_json(self, capsys):
         code, obj = run_json(capsys, "witness", "--trace", "3")
@@ -399,6 +399,63 @@ class TestAtlasCheck:
         assert "round_trips" not in out
         if json_flag:
             assert json.loads(out)["status"] == "error"
+
+
+class TestOneRefusalPath:
+    """Every refusal reaches the user one way: the handler raises, and
+    `main` writes `COMMAND: error: MESSAGE` to stderr, or with --json one
+    object to stdout that names the word of a word command."""
+
+    # argv, the word a --json refusal names, the message, EARRING_CACHE_BYTES
+    CASES = [
+        (["survives", "1,0"], None, "0 is not a valid generator index", None),
+        (["ev", "3", "-1", "2"], "3 -1 2", "vertex does not survive", None),
+        (["zpath", "0"], None, "island index must be >= 1", None),
+        (["crosscheck", "9", "0"], None, "island index and radius must be >= 1", None),
+        (["lift", "--start", "3", "1"], "1", "word does not survive the pruning", None),
+        (["in-k", "2", "x"], None, "non-integer token 'x' in word", None),
+        (["witness", "1", "-1"], "1 -1", "word reduces to the empty word; nothing to certify",
+         None),
+        (["witness", "--trace", "12"], "12",
+         "the lift of beta w beta^-1 has 1554249877 steps; a trace holds at most 4194304",
+         None),
+        (["scan", "--max-weight", "1"], None, "max_weight must be >= 2", None),
+        (["charts", "x:1"], None, "point spec must be v:<word> or e:<word>:<label>:<t>", None),
+        (["atlas-check", "--samples", "-1"], None, "the sample count must be >= 0", None),
+        (["survives", "1", "2"], None, "EARRING_CACHE_BYTES must be a whole number of bytes "
+         "in decimal digits, such as 65536, not '1e6'", "1e6"),
+    ]
+
+    @pytest.mark.parametrize("argv, word, message, cache_bytes", [
+        pytest.param(*case, id=" ".join(case[0]) + (f" EARRING_CACHE_BYTES={case[3]}"
+                                                     if case[3] else ""))
+        for case in CASES])
+    @pytest.mark.parametrize("json_flag", [False, True])
+    def test_refusal(self, capsys, monkeypatch, argv, word, message, cache_bytes, json_flag):
+        if cache_bytes is not None:
+            monkeypatch.setenv("EARRING_CACHE_BYTES", cache_bytes)
+        try:
+            # the cap is read again on its next use
+            reset_caches()
+            code, out, err = run_cli(capsys, *(["--json"] if json_flag else []), *argv)
+        finally:
+            monkeypatch.undo()
+            reset_caches()
+        assert code == 1
+        if json_flag:
+            assert (json.loads(out), err) == ({"command": argv[0], "input": word, "output": {},
+                                               "status": "error", "message": message}, "")
+            assert out.count("\n") == 1
+        else:
+            assert (out, err) == ("", f"{argv[0]}: error: {message}\n")
+
+    def test_no_handler_writes_a_refusal(self):
+        # neither a handler nor `_emit` catches a refusal or writes one
+        import inspect
+        for name, (_, _, _, handler) in cli.COMMANDS.items():
+            source = inspect.getsource(handler)
+            assert "except" not in source and "error" not in source, name
+        assert "error" not in inspect.getsource(cli._emit)
 
 
 class TestDeterminism:

@@ -68,6 +68,22 @@ class TestWitnessConjugator:
         with pytest.raises(ValueError):
             witness_conjugator((1, -1))
 
+    def test_far_trace_is_refused_before_beta_is_spelled(self, monkeypatch):
+        # the trace of witness 12 has 2 * 777,124,938 + 1 steps
+        cert = witness_conjugator((12,))
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="has 1554249877 steps"):
+            cert.trace
+        assert time.perf_counter() - t0 < 0.1
+        # the bound is MAX_LIFT_LETTERS, read when the trace is
+        from earring import words
+        cert = witness_conjugator((3,))
+        monkeypatch.setattr(words, "MAX_LIFT_LETTERS", 104)
+        with pytest.raises(ValueError, match="has 105 steps"):
+            cert.trace
+        monkeypatch.setattr(words, "MAX_LIFT_LETTERS", 105)
+        assert len(cert.trace.word) == 105
+
     def test_endpoint_is_lift_of_full_conjugate(self):
         cert = witness_conjugator((3,))
         gamma = cert.beta + cert.word + invert(cert.beta)

@@ -92,11 +92,11 @@ PINS = {
     'in-k 1 2 1': '9cbd04151a2acca0',
     'survives 3 -1 2': 'd348e3f44314c0f1',
     'island 3 -1 2': 'fb02ade11a8efd69',
-    'ev 3 -1 2': '118c7f8cc522bde8',
+    'ev 3 -1 2': '244d25f90a1cfd53',
     'in-k 3 -1 2': '405c3c376b8ca0f9',
     'survives 1 2 1 2 3': '28e336798925dfc7',
     'island 1 2 1 2 3': '5048438765f52fa0',
-    'ev 1 2 1 2 3': '118c7f8cc522bde8',
+    'ev 1 2 1 2 3': '244d25f90a1cfd53',
     'in-k 1 2 1 2 3': '680bb67ee3b03293',
     '--json witness 12': 'c2ff51f23e699775',
     '--json lift --trace 1 2 3': 'f6eb8bcbc0070931',
@@ -109,7 +109,7 @@ PINS = {
     '--json crosscheck 9 2': '000bb0dfb95351f1',
     '--json atlas-check --samples 100 --seed 5': '7c7fa0d7a3d86bac',
     '--json lift --trace 1,2,3,-3,2,1,4,5': '4e79036834932506',
-    '--json lift --trace --start 1,2,3 -3 -2 4 1': '3041c14ae7978cf5',
+    '--json lift --trace --start 1,2,3 -3 -2 4 1': '9cddab9d34b2e856',
     '--json lift --start 1,2,-1 2,3': '48cbfc0d3dcfd1be',
     '--json lift --trace --start 1,-2 2 2 1 -2 -1 -1 3 -1': '06e27fb791e76249',
     '--json lift --trace --start -1 1 1 2 -1 3 -3 -2 -1': '492b3b6288e57572',

@@ -150,6 +150,33 @@ class TestTrieAgainstWords:
         assert (u.hit.j, u.hit.kind, u.hit.s, u.hit.r) == (hit.j, hit.kind, hit.s, hit.r)
         assert u.e_set == labels
 
+    def test_an_old_vertex_refuses_a_first_hit_read(self):
+        # an old vertex located among the new trie's edge-path vertices would
+        # compare them by identity with its own trie's, and answer wrongly:
+        # each of the 70 words z a_s^2 (z on Z_j, j < 80, s >= 3) that
+        # survive either keeps the hit it read, or refuses a first read
+        def key(hit):
+            return None if hit is None else (hit.j, hit.kind, hit.s, hit.r)
+
+        reset_caches()
+        ws = sorted({reduce_word(z + (s, s)) for j in range(1, 80)
+                     for z in island_data(j).z_set for s in range(3, island_data(j).level + 3)})
+        ws = [w for w in ws if survives(w)]
+        expected = [key(classify(w)) for w in ws]
+        reset_caches()
+        old = [Vertex.make(w) for w in ws]
+        reset_caches()
+        refused = 0
+        for v, hit in zip(old, expected):
+            try:
+                assert key(v.hit) == hit, v
+            except ValueError:
+                with pytest.raises(ValueError, match="reset_caches"):
+                    v.e_set
+                refused += 1
+        assert len(ws) == 70 and refused > 0
+        assert [key(Vertex.make(v.word).hit) for v in old] == expected
+
     def test_an_old_ray_vertex_makes_no_ray_child(self):
         # its child would be registered as the new trie's R[:6], below a
         # second live R[:5]

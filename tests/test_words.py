@@ -1,5 +1,8 @@
 import gc
+import importlib.util
 import itertools
+import os
+import random
 import time
 import tracemalloc
 
@@ -180,6 +183,37 @@ class TestClosedForm:
     def test_far_anchor_index(self, j):
         assert anchor_index(anchor_length(j)) == j
         assert anchor_index(anchor_length(j) - 1) == j - 1
+
+
+def _perfbench_reference():
+    """perfbench/reference.py, written from the ordering rule in the words
+    module's docstring and not from its code."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench",
+                        "reference.py")
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFarIndexAgainstReference:
+    """The index arithmetic past the words that TestClosedForm spells,
+    against an independent closed form."""
+
+    def test_index_arithmetic(self):
+        ref = _perfbench_reference()
+        # 300 seeded indices, even in log scale over [10^5, 10^12), and a far one
+        rng = random.Random(19)
+        sample = [int(10 ** rng.uniform(5, 12)) for _ in range(300)] + [4 * 10**39]
+        assert min(sample) >= 10**5
+        for j in sample:
+            w = ref.nth_word(j)
+            assert nth_word(j) == w, j
+            assert index_of(w) == j, j
+            assert cumulative_length(j) == ref.cumulative_length(j), j
+            n = ref.anchor_length(j)
+            assert anchor_length(j) == n, j
+            assert (anchor_index(n), anchor_index(n - 1)) == (j, j - 1), j
 
 
 class TestWeightBound:
