@@ -11,11 +11,17 @@ Island data is not memoised: it hangs on its anchor vertex as that
 vertex's island hit, and each trie vertex's island hit holds its own
 island's data.  The trie of visited vertices and the class table of the
 word enumeration are not bounded; ray vertices are registered weakly.
-`reset_caches()` drops all of them, so it starts a new trie.  A vertex
-made before it still reads `.word`, `.depth` and `.tail` and keeps the
-answers it has already read; a first read of its `hit` or `e_set` raises
-ValueError, and its steps are not defined, so re-make it with
+
+The reset contract.  `reset_caches()` drops all of them and starts a new
+trie, with a new base point.  Every vertex carries the trie it was made
+in: a child its parent's, a ray vertex the one current when it was made.
+A vertex from an older trie keeps its word (`.word`, `.depth`, `.tail`),
+every answer it has read (`hit`, `e_set`) and every neighbour it has
+made; whatever it would have to locate or make, a first `hit` or `e_set`
+read or a step to a new vertex, raises ValueError, since it would be
+compared with, or become, a vertex of the new trie.  Re-make it with
 `Vertex.make(v.word)`.
+
 Caches are transparent: every result is recomputable, so capping or
 disabling them never changes observable behavior.
 """

@@ -321,12 +321,14 @@ def main(argv: list | None = None) -> int:
         return 1
     try:
         try:
+            if hasattr(args, "word"):
+                # a refusal names the word as given until it is read
+                args.wtext = " ".join(args.word)
+                args.word = parse_word(args.wtext)
+                args.wtext = format_word(args.word)
             # every command refuses a bad EARRING_CACHE_BYTES, whether or
             # not it reaches the word index
             caching.cache_limit()
-            if hasattr(args, "word"):
-                args.word = parse_word(" ".join(args.word))
-                args.wtext = format_word(args.word)
             code = COMMANDS[args.command][3](args) or 0
         except (ValueError, MemoryError) as exc:
             # the one place a refusal is written; a word command's names the word

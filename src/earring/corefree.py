@@ -46,7 +46,11 @@ class ConjugationCertificate(_CertificateFields):
     @cached_property
     def conjugate_endpoint(self) -> Vertex:
         """Lift endpoint of beta . word . beta^{-1}; made on first read, in
-        `unwind` steps from `turn`."""
+        `unwind` steps from `turn`.  Refused with ValueError, before any
+        letter is spelled, past MAX_LIFT_LETTERS steps."""
+        if self.unwind > words.MAX_LIFT_LETTERS:
+            raise ValueError(f"the endpoint lies {self.unwind} steps past the turn; at "
+                             f"most {words.MAX_LIFT_LETTERS} are lifted")
         return endpoint(invert(self.beta[:self.unwind]), start=self.turn)
 
     @cached_property

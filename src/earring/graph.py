@@ -26,7 +26,6 @@ from .words import (
     invert,
     is_reduced,
     nth_word,
-    ray_run,
     reduce_word,
     word_length,
     zigzag_prefix,
@@ -52,19 +51,20 @@ class _IslandFields(NamedTuple):
     level: int          # n_j = max(2, max index in word)
     anchor_len: int
     path: tuple         # |word|+1 vertices, with repeats
-    records: tuple      # the distinct vertices of path, sorted by word
+    records: tuple      # the distinct vertices of path, in walk order
     max_len: int        # depth of the longest edge-path vertex
 
 
 class IslandData(_IslandFields):
     """Everything attached to enumeration index j: the word, the length
     of its anchor, the level n_j, and the anchored edge-path vertices,
-    which are trie vertices.  A named tuple of its fields; `z_path` and
-    `z_set` spell the vertices on first read, and `bases` strips each
-    vertex of its final run on the first line test.  The data hangs on its anchor
-    vertex as that vertex's island hit, and every vertex's hit holds its
-    island's data, so it lives as long as the anchor or a vertex that
-    located it.  The repr leaves out `path`, `records` and `max_len`."""
+    which are trie vertices; `records` holds each once, in walk order.  A
+    named tuple of its fields; `z_path` and `z_set` spell the vertices on
+    first read, and `bases` strips each vertex of its final run on the
+    first line test.  The data hangs on its anchor vertex as that vertex's
+    island hit, and every vertex's hit holds its island's data, so it lives
+    as long as the anchor or a vertex that located it.  The repr leaves out
+    `path`, `records` and `max_len`."""
 
     def __repr__(self):
         return (f"IslandData(j={self.j!r}, word={self.word!r}, level={self.level!r}, "
@@ -108,9 +108,7 @@ def island_data(j: int) -> IslandData:
         # every letter of w_j is a tree label on Z_j: the tree half of `step`
         z = z.parent if x == -z.letter else z._child(x)
         path.append(z)
-    # every vertex starts with R[:common], so the rest orders them as words
-    common = min(z.ray_len for z in path)
-    records = tuple(sorted(set(path), key=lambda z: ray_run(common, z.ray_len) + z.tail))
+    records = tuple(dict.fromkeys(path))
     data = IslandData(j, wj, max(2, max(map(abs, wj))), path[0].depth, tuple(path),
                       records, max(z.depth for z in records))
     path[0]._hit = IslandHit(data, "Z")
@@ -121,9 +119,9 @@ class IslandHit(NamedTuple):
     """Membership certificate: v lies in island `j`, either on the
     anchored edge-path (kind 'Z') or strictly on a line through it (kind
     'L'), v = reduce(u . a_s^r).  The hit holds its island's data and the
-    index k of the line base u among `data.records`, which are vertices;
-    `u` is spelled only when read, since it has about anchor_length(j)
-    letters."""
+    index k of the line base u among `data.records`, the edge-path
+    vertices in walk order; `u` is spelled only when read, since it has
+    about anchor_length(j) letters."""
 
     data: IslandData
     kind: str                 # 'Z' or 'L'
@@ -341,10 +339,12 @@ def _letters(node: "Vertex", stop: int) -> Word:
     return tuple(out)
 
 
-# the `_e_set` of a vertex of the current trie that has not located its
-# island; `reset_caches()` makes a new one, so a vertex of an older trie,
-# which must not be located among this trie's vertices, is told apart
-_unread = object()
+# the token of the current trie, which every vertex carries: a vertex made
+# before `reset_caches()` holds an older one (see `caching`)
+_trie = object()
+
+_STALE = ("a vertex made before reset_caches() is not in the new trie; "
+          "re-make it with Vertex.make(v.word)")
 
 
 class Vertex:
@@ -374,14 +374,13 @@ class Vertex:
 
     A word has one live vertex in the current trie: only `_child` makes a
     child, and only `_ray` a ray vertex.  So `==` is `is`, and a vertex
-    hashes by identity.  `reset_caches()` starts a new trie, so a vertex
-    made before it is not the vertex of its word made after it: it still
-    reads `word`, `depth` and `tail` and keeps the answers it has read,
-    but a first read of its `hit` or `e_set` raises ValueError, and its
-    steps are not defined.  Re-make it with `Vertex.make(v.word)`."""
+    hashes by identity.  Each vertex carries the trie it was made in,
+    `_trie`: a child its parent's, a ray vertex the current one.  A vertex
+    from before `reset_caches()` keeps what it has, and refuses to locate
+    its island or make a vertex; `earring.caching` states that contract."""
 
     __slots__ = ("parent", "letter", "depth", "ray_len", "run", "run_start",
-                 "_hit", "_e_set", "_children")
+                 "_hit", "_e_set", "_children", "_trie")
 
     def __init__(self, parent: "Vertex", letter: int):
         # a child made here leaves the ray or is already off it
@@ -397,16 +396,15 @@ class Vertex:
             # the vertex before the final run, kept only off the ray: the
             # letters it spells for _locate start at ray_len
             self.run_start = parent if parent.depth > parent.ray_len else None
-        self._hit = self._children = None
-        self._e_set = _unread
+        self._hit = self._children = self._e_set = None
+        self._trie = parent._trie
 
     def _classify(self) -> frozenset:
         """Locate the island, store the hit and its labels, and return the
         labels.  Both depend on the word alone, so this runs at most once
         per node, and only on a node of the current trie."""
-        if self._e_set is not _unread:
-            raise ValueError("a vertex made before reset_caches() is not located in the "
-                             "new trie; re-make it with Vertex.make(v.word)")
+        if self._trie is not _trie:
+            raise ValueError(_STALE)
         self._hit = hit = _locate(self)
         self._e_set = labels = _labels(hit)
         return labels
@@ -415,7 +413,7 @@ class Vertex:
     def e_set(self) -> frozenset:
         """Labels of the tree edges at this vertex."""
         labels = self._e_set
-        return labels if labels.__class__ is frozenset else self._classify()
+        return labels if labels is not None else self._classify()
 
     @property
     def tail(self) -> Word:
@@ -429,7 +427,7 @@ class Vertex:
     @property
     def hit(self) -> Optional[IslandHit]:
         """Island membership certificate, as `classify` gives it."""
-        if self._e_set.__class__ is not frozenset:
+        if self._e_set is None:
             self._classify()
         return self._hit
 
@@ -443,7 +441,7 @@ class Vertex:
 
     def _child(self, letter: int) -> "Vertex":
         """The child by `letter`, made on first request: the one place a
-        child is looked up or made."""
+        child is looked up or made, and only in the current trie."""
         kids = self._children
         if kids.__class__ is dict:
             node = kids.get(letter)
@@ -451,13 +449,10 @@ class Vertex:
                 return node
         elif kids is not None and kids.letter == letter:
             return kids
+        if self._trie is not _trie:
+            raise ValueError(_STALE)
         n = self.depth
         if self.ray_len == n and letter == _ray_letter(n):
-            # a ray vertex from before a reset would register its child as
-            # the new trie's R[:n+1], below a second live R[:n]
-            if (_rays.get(n) if n else _root) is not self:
-                raise ValueError("a vertex made before reset_caches() makes no ray "
-                                 "child; re-make it with Vertex.make(v.word)")
             node = _ray(n + 1, self)
         else:
             node = Vertex(self, letter)
@@ -504,13 +499,15 @@ class _RayVertex(Vertex):
         self.letter = depth and _ray_letter(depth - 1)
         self.depth = self.ray_len = depth
         self.run = min(depth, 1)
-        self.run_start = self._hit = self._children = None
-        self._e_set = _unread
+        self.run_start = self._hit = self._children = self._e_set = None
+        self._trie = _trie
 
     @property
     def parent(self) -> Optional[Vertex]:
         node = _PARENT.__get__(self)
         if node is None and self.depth:
+            # the live R[:depth - 1] of the current trie, even for a ray
+            # vertex from before a reset, so no trie check is needed
             node = _ray(self.depth - 1)
             _PARENT.__set__(self, node)
         return node
@@ -547,11 +544,11 @@ _root = _RayVertex(0)
 
 
 def _drop_caches() -> None:
-    """Start a new trie and empty the word index.  A new `_unread` marks
-    the new trie's unlocated vertices, so an old one refuses to locate."""
-    global _index_bytes, _unread
-    _unread = _root._e_set = object()
-    _root._children = None
+    """Start a new trie, with a new token and base point, and empty the
+    word index."""
+    global _index_bytes, _trie, _root
+    _trie = object()
+    _root = _RayVertex(0)
     _rays.clear()
     _index.clear()
     _index_bytes = 0

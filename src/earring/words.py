@@ -346,13 +346,17 @@ def format_word(w: Word) -> str:
     return "e" if not w else " ".join(map(str, w))
 
 
-# The longest word that `format_ray_word` spells out, and the most steps
-# `earring witness --trace` prints.  A witness itself takes O(|w|) time and
-# memory at any index, so this bounds only the output: a longer word is
-# written in the compact form `ray[p] <letters> ray[m]^-1`, the ray prefix
-# R[:p], the letters past it, and the inverse of a ray prefix R[:m].  The
-# witness of a_12 (j = 41,501,135) has vertices of 777,124,938 and
-# 1,554,249,877 letters.
+# The bound on what is spelled or lifted letter by letter.  It bounds:
+# - vertex text: `format_ray_word` spells a word of up to this many letters,
+#   and writes a longer one in the compact form `ray[p] <letters> ray[m]^-1`,
+#   the ray prefix R[:p], the letters past it, and the inverse of a ray
+#   prefix R[:m];
+# - a witness certificate's `trace` and `conjugate_endpoint`, which are
+#   refused past this many steps, before beta is spelled;
+# - the sample of `graph.removal_cross_check`, in letters.
+# A witness itself takes O(|w|) time and memory at any index.  The witness
+# of a_12 (j = 41,501,135) has vertices of 777,124,938 and 1,554,249,877
+# letters.
 MAX_LIFT_LETTERS = 2 ** 22
 
 

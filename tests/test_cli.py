@@ -408,12 +408,12 @@ class TestOneRefusalPath:
 
     # argv, the word a --json refusal names, the message, EARRING_CACHE_BYTES
     CASES = [
-        (["survives", "1,0"], None, "0 is not a valid generator index", None),
+        (["survives", "1,0"], "1,0", "0 is not a valid generator index", None),
         (["ev", "3", "-1", "2"], "3 -1 2", "vertex does not survive", None),
         (["zpath", "0"], None, "island index must be >= 1", None),
         (["crosscheck", "9", "0"], None, "island index and radius must be >= 1", None),
         (["lift", "--start", "3", "1"], "1", "word does not survive the pruning", None),
-        (["in-k", "2", "x"], None, "non-integer token 'x' in word", None),
+        (["in-k", "2", "x"], "2 x", "non-integer token 'x' in word", None),
         (["witness", "1", "-1"], "1 -1", "word reduces to the empty word; nothing to certify",
          None),
         (["witness", "--trace", "12"], "12",
@@ -422,7 +422,7 @@ class TestOneRefusalPath:
         (["scan", "--max-weight", "1"], None, "max_weight must be >= 2", None),
         (["charts", "x:1"], None, "point spec must be v:<word> or e:<word>:<label>:<t>", None),
         (["atlas-check", "--samples", "-1"], None, "the sample count must be >= 0", None),
-        (["survives", "1", "2"], None, "EARRING_CACHE_BYTES must be a whole number of bytes "
+        (["survives", "1", "2"], "1 2", "EARRING_CACHE_BYTES must be a whole number of bytes "
          "in decimal digits, such as 65536, not '1e6'", "1e6"),
     ]
 

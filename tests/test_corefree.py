@@ -68,6 +68,20 @@ class TestWitnessConjugator:
         with pytest.raises(ValueError):
             witness_conjugator((1, -1))
 
+    def test_far_endpoint_is_refused_before_beta_is_spelled(self, monkeypatch):
+        # witness 12's endpoint is 777,124,938 steps past its turn
+        cert = witness_conjugator((12,))
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="777124938 steps"):
+            cert.conjugate_endpoint
+        assert time.perf_counter() - t0 < 0.1
+        # the bound is MAX_LIFT_LETTERS, read when the endpoint is
+        from earring import words
+        monkeypatch.setattr(words, "MAX_LIFT_LETTERS", 100)
+        with pytest.raises(ValueError, match="595 steps"):
+            witness_conjugator((2, 1, -1)).conjugate_endpoint
+        assert witness_conjugator((3,)).conjugate_endpoint.depth == 105
+
     def test_far_trace_is_refused_before_beta_is_spelled(self, monkeypatch):
         # the trace of witness 12 has 2 * 777,124,938 + 1 steps
         cert = witness_conjugator((12,))

@@ -210,11 +210,11 @@ def oracle_digest(name: str) -> str:
 
 DOMAIN_PIN = "3d018f9e4b750f7f"
 ORACLE_PINS = {
-    "classify": "6210f7d475d955fd",
+    "classify": "496c4f77ce89403d",
     "survives": "d5a35c10d0ac813d",
     "island_of": "ba9db629c60b945d",
     "e_set": "5f14f33aff4c3518",
-    "Vertex.hit": "d483252ffd80a5e3",
+    "Vertex.hit": "b16def2506baea17",
 }
 
 

@@ -187,6 +187,54 @@ class TestTrieAgainstWords:
         assert ray_vertex(6).parent is ray_vertex(5)
         assert Vertex.make(zigzag_prefix(6)).parent is Vertex.make(zigzag_prefix(5))
 
+    def test_an_old_vertex_makes_no_child(self):
+        # a child made from an old vertex would be located among the new
+        # trie's vertices from an old parent: each of the 280 surviving words
+        # z a_s^2 x (z on Z_j, j < 80, s >= 3, x = a_1^{+-1} or a_2^{+-1}),
+        # stepped by x from its parent made before a reset, is refused
+        reset_caches()
+        ws = sorted({reduce_word(z + (s, s, x)) for j in range(1, 80)
+                     for z in island_data(j).z_set for s in range(3, island_data(j).level + 3)
+                     for x in (1, -1, 2, -2)})
+        ws = [w for w in ws if survives(w)]
+        reset_caches()
+        old = [Vertex.make(w[:-1]) for w in ws]
+        reset_caches()
+        assert len(ws) == 280
+        for v, w in zip(old, ws):
+            with pytest.raises(ValueError, match="reset_caches"):
+                v.step(w[-1])
+
+    def test_an_old_certificate_makes_no_endpoint(self):
+        # its endpoint would be a second live vertex of its word
+        cert = witness_conjugator(nth_word(175))
+        reset_caches()
+        with pytest.raises(ValueError, match="reset_caches"):
+            cert.conjugate_endpoint
+        assert witness_conjugator(nth_word(175)).conjugate_endpoint.depth > 0
+
+    def test_a_reset_makes_a_new_base_point(self):
+        reset_caches()
+        old = base_vertex()
+        reset_caches()
+        assert base_vertex() is not old and base_vertex() is Vertex.make(())
+        with pytest.raises(ValueError, match="reset_caches"):
+            old.e_set
+        with pytest.raises(ValueError, match="reset_caches"):
+            old.step(1)
+        assert old.depth == 0 and old.word == ()
+
+    def test_an_old_vertex_keeps_its_neighbours(self):
+        # an old located vertex still steps to the vertices it has already
+        # made, and to its parent, as the same objects
+        reset_caches()
+        v = Vertex.make(reduce_word(anchor(9) + (3, 3)))
+        child, up, loop = v.step(1)[1], v.step(-3)[1], v.step(4)
+        reset_caches()
+        assert v.step(1)[1] is child and v.step(-3)[1] is up and v.step(4) == loop
+        assert child.parent is v and up.step(3)[1] is v
+        assert Vertex.make(v.word) is not v
+
 
 class TestRayVertices:
     """A ray vertex is made at any depth in O(1), its parent only when
