@@ -4,9 +4,10 @@ lifting, membership in the core-free open subgroup of loops lifting to
 loops, and a numeric chart atlas certifying the local structure.
 
 `import earring` loads the layers that `survives` needs: `words`,
-`caching` and `graph`.  The lifting layer (`lifting`), the core-freeness
-certificates (`corefree`) and the chart atlas (`charts`) are loaded on
-first access to the module or to one of its names (PEP 562), so
+`caching` and `graph`.  The definitional checks (`checks`), the lifting
+layer (`lifting`), the core-freeness certificates (`corefree`) and the
+chart atlas (`charts`) are loaded on first access to the module or to one
+of its names (PEP 562), so
 `earring.q_point` is `earring.charts.q_point` and `from earring import *`
 binds every name in `__all__`.
 """
@@ -14,7 +15,6 @@ binds every name in `__all__`.
 from importlib import import_module as _import_module
 
 from .words import (
-    RayPrefix,
     Word,
     anchor,
     anchor_length,
@@ -33,20 +33,19 @@ from .graph import (
     Vertex,
     base_vertex,
     e_set,
-    in_line,
     island_data,
     island_of,
     neighbor,
     ray_vertex,
-    removal_cross_check,
     survives,
 )
 
 # name -> the module that defines it, for the names loaded on first access;
 # a module's own name maps to itself
 _LAZY = {
-    **dict.fromkeys(("lifting", "LiftTrace", "endpoint", "in_k", "lift_ray_inverse",
-                     "lift_word"), "lifting"),
+    **dict.fromkeys(("checks", "in_line", "removal_cross_check"), "checks"),
+    **dict.fromkeys(("lifting", "LiftTrace", "RayPrefix", "endpoint", "in_k",
+                     "lift_ray_inverse", "lift_word"), "lifting"),
     **dict.fromkeys(("corefree", "ConjugationCertificate", "core_free_scan",
                      "midpoint_structure_check", "witness_conjugator"), "corefree"),
     **dict.fromkeys(("charts", "Edge", "PointH", "PointHat", "atlas_check",

@@ -23,8 +23,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-# lifting, corefree and charts are imported by the handlers that call them,
-# so a command loads only the layers it uses
+# checks, lifting, corefree and charts are imported by the handlers that
+# call them, so a command loads only the layers it uses
 from . import caching, graph, words
 from .words import format_ray_word, format_word, parse_word
 
@@ -181,8 +181,14 @@ def _point_spec(spec: str):
         return charts.PointHat.at_vertex(v)
     if parts[0] == "e" and len(parts) == 4:
         v = graph.Vertex.make(words.reduce_word(parse_word(parts[1])))
-        label = int(parts[2])
-        t = float(parts[3])
+        try:
+            label = int(parts[2])
+        except ValueError:
+            raise ValueError(f"edge label must be an integer, not {parts[2]!r}") from None
+        try:
+            t = float(parts[3])
+        except ValueError:
+            raise ValueError(f"edge parameter t must be a number, not {parts[3]!r}") from None
         return charts.PointHat.on_edge(charts.edge_at(v, label), t)
     raise ValueError("point spec must be v:<word> or e:<word>:<label>:<t>")
 
@@ -223,7 +229,8 @@ def _zpath(args):
 @command("crosscheck", "compare the two removal rules near island j", ("j", int),
          ("radius", int))
 def _crosscheck(args):
-    report = graph.removal_cross_check(args.j, args.radius)
+    from . import checks
+    report = checks.removal_cross_check(args.j, args.radius)
     _emit(args, {"input": f"{args.j} {args.radius}", "examined": report.examined,
                  "removed": report.removed, "disagreements": len(report.disagreements)})
     return 0 if report.ok else 2

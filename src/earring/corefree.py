@@ -19,9 +19,9 @@ from typing import NamedTuple, Optional
 
 from . import words
 from .graph import Vertex, base_vertex, island_data, ray_vertex
-from .lifting import LiftTrace, endpoint, in_k, lift_ray_inverse, lift_word
-from .words import (RayPrefix, Word, anchor, anchor_length, check_word, format_word,
-                    index_of, invert, nth_word, reduce_word, weight)
+from .lifting import LiftTrace, RayPrefix, endpoint, in_k, lift_ray_inverse, lift_word
+from .words import (Word, anchor, anchor_length, check_word, format_word, index_of, invert,
+                    nth_word, reduce_word, weight)
 
 
 class _CertificateFields(NamedTuple):

@@ -1,6 +1,6 @@
 """Lazy oracle for the pruned graph: island membership, survival of a
-reduced word under the pruning rules, incident tree-edge labels, and the
-cross-check between the closed-form removal pattern and the prose rule.
+reduced word under the pruning rules, and incident tree-edge labels.  The
+definitional checks of these rules are in `earring.checks`.
 
 No infinite portion of the graph is ever materialized; every question is
 answered from the word alone.
@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import operator
 import weakref
+from collections import namedtuple
 from functools import cached_property
 from itertools import compress, count, cycle
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from . import words
 from .caching import cache_limit
 from .words import (
     Word,
@@ -23,10 +23,8 @@ from .words import (
     anchor_length,
     check_word,
     format_ray_word,
-    invert,
     is_reduced,
     nth_word,
-    reduce_word,
     word_length,
     zigzag_prefix,
 )
@@ -45,14 +43,15 @@ def ray_agreement(w: Word) -> int:
 # edge-path vertex is the one live vertex of its word, and two of them are
 # the same vertex exactly when they are the same object.
 
-class _IslandFields(NamedTuple):
-    j: int
-    word: Word
-    level: int          # n_j = max(2, max index in word)
-    anchor_len: int
-    path: tuple         # |word|+1 vertices, with repeats
-    records: tuple      # the distinct vertices of path, in walk order
-    max_len: int        # depth of the longest edge-path vertex
+# the fields, in order:
+#   j
+#   word
+#   level        n_j = max(2, max index in word)
+#   anchor_len
+#   path         |word|+1 vertices, with repeats
+#   records      the distinct vertices of path, in walk order
+#   max_len      depth of the longest edge-path vertex
+_IslandFields = namedtuple("_IslandFields", "j word level anchor_len path records max_len")
 
 
 class IslandData(_IslandFields):
@@ -115,19 +114,21 @@ def island_data(j: int) -> IslandData:
     return data
 
 
-class IslandHit(NamedTuple):
+# the fields, in order:
+#   data         the island's IslandData
+#   kind         'Z' or 'L'
+#   s            line direction for kind 'L'; None for kind 'Z'
+#   k            index of the line base u in data.records; None for kind 'Z'
+#   r            signed offset along the line; None for kind 'Z'
+class IslandHit(namedtuple("IslandHit", "data kind s k r", defaults=(None, None, None))):
     """Membership certificate: v lies in island `j`, either on the
     anchored edge-path (kind 'Z') or strictly on a line through it (kind
     'L'), v = reduce(u . a_s^r).  The hit holds its island's data and the
     index k of the line base u among `data.records`, the edge-path
     vertices in walk order; `u` is spelled only when read, since it has
-    about anchor_length(j) letters."""
+    about anchor_length(j) letters.  A named tuple with no `__dict__`."""
 
-    data: IslandData
-    kind: str                 # 'Z' or 'L'
-    s: Optional[int] = None   # line direction for kind 'L'
-    k: Optional[int] = None   # index of the line base u in data.records
-    r: Optional[int] = None   # signed offset along the line
+    __slots__ = ()
 
     @property
     def j(self) -> int:
@@ -201,35 +202,6 @@ def island_of(v: Word) -> Optional[int]:
     """The unique island index containing v, or None, by `classify`."""
     hit = classify(v)
     return hit.j if hit else None
-
-
-def in_line(v: Word, u: Word, s: int) -> Optional[int]:
-    """The r with v = reduce(u · a_s^r), or None.
-
-    Deliberately implemented from the definition (reduce u^{-1}v and test
-    for a pure power of a_s) rather than via the ray shortcuts, so it can
-    serve as an independent check on them.  The common prefix of u and v,
-    found at C speed, cancels first: that is free reduction too.
-    """
-    if s < 1:
-        raise ValueError("line direction must be >= 1")
-    v, u = check_word(v), check_word(u)
-    if not is_reduced(u):
-        raise ValueError("in_line expects a reduced base vertex")
-    return _line_offset(v, u, s)
-
-
-def _line_offset(v: Word, u: Word, s: int) -> Optional[int]:
-    """`in_line` on words it would accept, unchecked."""
-    c = next(compress(count(), map(operator.ne, u, v)), min(len(u), len(v)))
-    d = reduce_word(invert(u[c:]) + v[c:])
-    if not d:
-        return 0
-    if all(x == s for x in d):
-        return len(d)
-    if all(x == -s for x in d):
-        return -len(d)
-    return None
 
 
 # --- tree labels and survival ----------------------------------------------
@@ -563,113 +535,3 @@ def neighbor(v: Vertex, letter: int):
     """Spec-level neighbor operation; see Vertex.step."""
     check_word((letter,))
     return v.step(letter)
-
-
-# --- cross-check of the two removal rules ----------------------------------
-
-def formula_removes(v: Word, j: int) -> bool:
-    """Match of the closed-form removal pattern for island j: v is the
-    reduction of z . a_s^{+-r} . a_k^{+-1} . g with z on the island's
-    edge-path, the vertex one step into the power off the edge-path, and
-    either r = 0 with k > n_j, or r != 0 with s <= n_j and k outside
-    {1, 2, s}.  The power may cancel into the spelling of z, so its
-    reduction u is located with the definitional line test `in_line`
-    rather than by literal prefix matching; u . a_k^{+-1} itself never
-    cancels and is therefore a literal prefix of v.  Both branches need
-    k > 2 (n_j >= 2), so u = v[:t] is tried only where v[t] has index
-    above 2.  v is checked once, and each prefix goes to `in_line`'s test
-    unchecked."""
-    v = check_word(v)
-    data = island_data(j)
-    zset = data.z_set
-    nj = data.level
-    for t in (t for t, x in enumerate(v) if abs(x) > 2):
-        u, k = v[:t], abs(v[t])
-        if u in zset:
-            # r = 0 branch; the next vertex carries an index-k letter
-            # with k > n_j, hence lies off the edge-path automatically
-            if k > nj:
-                return True
-        # r != 0 branch: u strictly on a line through the edge-path
-        elif any(_line_offset(u, z, s) for z in zset for s in range(1, nj + 1) if s != k):
-            return True
-    return False
-
-
-class CrossCheckReport(NamedTuple):
-    j: int
-    radius: int
-    examined: int
-    removed: int
-    disagreements: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
-
-
-def removal_cross_check(j: int, radius: int) -> CrossCheckReport:
-    """Compare the closed-form pattern with the prose rule (remove the
-    distance-1 neighbors of the island not connected by an a_1/a_2 edge,
-    then everything they separate) on all reduced words within the given
-    edge-distance of a bounded sample of island vertices: the edge-path,
-    and each line through it out to radius + 2 steps."""
-    if j < 1 or radius < 1:
-        raise ValueError("island index and radius must be >= 1")
-    data = island_data(j)
-    # the sample holds each edge-path vertex z and the words on its 2 n_j
-    # lines out to radius + 2 steps: at most 1 + 2 n_j (radius + 2) words
-    # of at most |z| + radius + 2 letters each; refuse before spelling them
-    reach = radius + 2
-    letters = sum((1 + 2 * data.level * reach) * (z.depth + reach) for z in data.records)
-    if letters > words.MAX_LIFT_LETTERS:
-        raise ValueError(f"the cross-check of island {j} at radius {radius} would spell "
-                         f"up to {letters} letters, more than {words.MAX_LIFT_LETTERS}")
-    sample = set(data.z_set)
-    for z in data.z_set:
-        for s in range(1, data.level + 1):
-            for r in range(1, radius + 3):
-                sample.add(reduce_word(z + (s,) * r))
-                sample.add(reduce_word(z + (-s,) * r))
-    kmax = data.level + 2
-
-    def tree_neighbors(w: Word):
-        if w:
-            yield w[:-1], abs(w[-1])
-        for i in range(1, kmax + 1):
-            for letter in (i, -i):
-                if not w or w[-1] != -letter:
-                    yield w + (letter,), i
-
-    def in_island(w: Word) -> bool:
-        hit = classify(w)
-        return hit is not None and hit.j == j
-
-    examined = 0
-    removed = 0
-    disagreements = []
-    # BFS outward from the sample at depth 0; record each vertex's gateway
-    # label, the label of the edge by which its distance-1 ancestor leaves
-    # the island
-    frontier: list[tuple] = [(y, 0, None) for y in sorted(sample)]
-    seen = set(sample)
-    while frontier:
-        next_frontier = []
-        for w, depth, gateway_label in frontier:
-            if depth:
-                examined += 1
-                prose = gateway_label not in (1, 2)
-                formula = formula_removes(w, j)
-                if prose != formula:
-                    disagreements.append((w, prose, formula))
-                if formula:
-                    removed += 1
-            if depth < radius:
-                for nb, label in tree_neighbors(w):
-                    if nb in seen:
-                        continue
-                    seen.add(nb)
-                    if not in_island(nb):
-                        next_frontier.append((nb, depth + 1, gateway_label or label))
-        frontier = next_frontier
-    return CrossCheckReport(data.j, radius, examined, removed, tuple(disagreements))

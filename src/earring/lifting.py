@@ -9,16 +9,18 @@ Labels 1 and 2 are tree labels at every vertex, so a step by a_1^{+-1} or
 a_2^{+-1} is plain free reduction; only a step by a higher letter makes
 the current vertex locate its island, once.  The same fact lets a run of
 the zig-zag ray, or of its inverse, be lifted as one segment: see
-`lift_ray_inverse`.
+`lift_ray_inverse`.  `RayPrefix` is such a ray prefix, kept as its length.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .graph import Vertex, base_vertex, ray_vertex
-from .words import Word, _ray_letter, check_word
+from .words import Word, _ray_letter, check_word, ray_run, zigzag_prefix
 
 
 class LiftStep(NamedTuple):
@@ -97,3 +99,53 @@ def lift_ray_inverse(v: Vertex, n: int) -> tuple:
         c = min(q, n - k)
         return ray_vertex(q - c), n - k - c
     return v, n - k
+
+
+class RayPrefix(Sequence):
+    """The ray prefix R[:n] = a_1 a_2 a_1 ... of length n, kept as its
+    length: indexing and slicing spell only the letters asked for, and it
+    equals the spelled tuple.  Hashing it spells it, to agree with that
+    tuple's hash."""
+
+    __slots__ = ("length",)
+
+    def __init__(self, n: int):
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError("a ray prefix has a length >= 0")
+        self.length = n
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(self.length)
+            if step == 1:
+                return ray_run(start, stop)
+            return tuple(map(_ray_letter, range(start, stop, step)))
+        p = operator.index(i)
+        if p < 0:
+            p += self.length
+        if not 0 <= p < self.length:
+            raise IndexError("ray prefix index out of range")
+        return _ray_letter(p)
+
+    def __iter__(self):
+        return iter(zigzag_prefix(self.length))
+
+    def __eq__(self, other):
+        if isinstance(other, RayPrefix):
+            return self.length == other.length
+        if isinstance(other, tuple):
+            return len(other) == self.length and other == zigzag_prefix(self.length)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(zigzag_prefix(self.length))
+
+    def __add__(self, other):
+        return zigzag_prefix(self.length) + tuple(other)
+
+    def __repr__(self):
+        return f"RayPrefix({self.length})"

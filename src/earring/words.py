@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from collections.abc import Sequence
 
 Letter = int
 Word = tuple  # tuple[int, ...]
@@ -264,56 +263,6 @@ def zigzag_prefix(n: int) -> Word:
     return ray_run(0, n)
 
 
-class RayPrefix(Sequence):
-    """The ray prefix R[:n] = a_1 a_2 a_1 ... of length n, kept as its
-    length: indexing and slicing spell only the letters asked for, and it
-    equals the spelled tuple.  Hashing it spells it, to agree with that
-    tuple's hash."""
-
-    __slots__ = ("length",)
-
-    def __init__(self, n: int):
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError("a ray prefix has a length >= 0")
-        self.length = n
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            start, stop, step = i.indices(self.length)
-            if step == 1:
-                return ray_run(start, stop)
-            return tuple(map(_ray_letter, range(start, stop, step)))
-        p = operator.index(i)
-        if p < 0:
-            p += self.length
-        if not 0 <= p < self.length:
-            raise IndexError("ray prefix index out of range")
-        return _ray_letter(p)
-
-    def __iter__(self):
-        return iter(zigzag_prefix(self.length))
-
-    def __eq__(self, other):
-        if isinstance(other, RayPrefix):
-            return self.length == other.length
-        if isinstance(other, tuple):
-            return len(other) == self.length and other == zigzag_prefix(self.length)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(zigzag_prefix(self.length))
-
-    def __add__(self, other):
-        return zigzag_prefix(self.length) + tuple(other)
-
-    def __repr__(self):
-        return f"RayPrefix({self.length})"
-
-
 def anchor(j: int) -> Word:
     """The alternating word a_1 a_2 a_1 a_2 ... of length anchor_length(j)."""
     return zigzag_prefix(anchor_length(j))
@@ -353,7 +302,7 @@ def format_word(w: Word) -> str:
 #   prefix R[:m];
 # - a witness certificate's `trace` and `conjugate_endpoint`, which are
 #   refused past this many steps, before beta is spelled;
-# - the sample of `graph.removal_cross_check`, in letters.
+# - the sample of `checks.removal_cross_check`, in letters.
 # A witness itself takes O(|w|) time and memory at any index.  The witness
 # of a_12 (j = 41,501,135) has vertices of 777,124,938 and 1,554,249,877
 # letters.

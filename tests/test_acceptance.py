@@ -14,6 +14,7 @@ import pytest
 
 from earring.caching import reset_caches
 from earring.charts import atlas_check
+from earring.checks import removal_cross_check
 from earring.corefree import core_free_scan
 from earring.graph import (
     Vertex,
@@ -21,7 +22,6 @@ from earring.graph import (
     e_set,
     island_data,
     island_of,
-    removal_cross_check,
     survives,
 )
 from earring.lifting import endpoint, in_k, lift_word

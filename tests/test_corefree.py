@@ -218,8 +218,10 @@ class TestDefinitionalTwin:
 
     def test_every_essential_word_to_300(self):
         # words are spelled at every step up to j = 60; past it a step is
-        # compared by vertex ==, which is structural (equal words), since
-        # spelling all of them would read about 3 * 10^8 letters
+        # compared by identity, since spelling all of them would read about
+        # 3 * 10^8 letters: the replay and the twin run in one trie, with no
+        # reset between them, and a word has one live vertex there, so `is`
+        # is word equality
         checked = 0
         try:
             for j in range(1, 301):
@@ -236,7 +238,7 @@ class TestDefinitionalTwin:
                 assert len(replay) == len(steps)
                 for step, (letter, kind, at) in zip(replay, steps):
                     assert (step.letter, step.kind) == (letter, kind)
-                    assert step.at == at
+                    assert step.at is at
                     if j <= 60:
                         assert step.at.word == at.word
                 checked += 1

@@ -6,22 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from earring import graph
 from earring.caching import reset_caches
+from earring.checks import formula_removes, in_line, removal_cross_check
 from earring.graph import (
     Vertex,
     base_vertex,
     classify,
     e_set,
-    formula_removes,
-    in_line,
     island_data,
     island_of,
     neighbor,
     ray_agreement,
     ray_vertex,
-    removal_cross_check,
     survives,
 )
-from earring.words import RayPrefix, anchor, anchor_length, invert, nth_word, reduce_word
+from earring.lifting import RayPrefix
+from earring.words import anchor, anchor_length, invert, nth_word, reduce_word
 
 
 class TestIslandData:
@@ -285,6 +284,59 @@ class TestCrossCheck:
                 v = reduce_word(z + (letter,))
                 if classify(v) is None:
                     assert not formula_removes(v, 1)
+
+
+class TestDefinitionalLayer:
+    """The definitional checks live in `earring.checks`, apart from the fast
+    path: `graph` defines none of them, and the line test reaches no name
+    that comes from `graph`, `lifting` or `corefree`."""
+
+    MOVED = ["in_line", "_line_offset", "formula_removes", "CrossCheckReport",
+             "removal_cross_check"]
+    FAST = {"graph", "lifting", "corefree"}
+
+    def test_graph_defines_no_check(self):
+        assert [name for name in self.MOVED if hasattr(graph, name)] == []
+
+    def test_line_test_reaches_no_fast_path_name(self):
+        import ast
+
+        from earring import checks
+        with open(checks.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        # every name that an import anywhere in checks.py binds from a
+        # fast-path module, or to one
+        fast = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = set((node.module or "").split("."))
+                fast.update(alias.asname or alias.name for alias in node.names
+                            if source & self.FAST or alias.name in self.FAST)
+            elif isinstance(node, ast.Import):
+                fast.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                            if set(alias.name.split(".")) & self.FAST)
+        # the cross-check decides membership by the fast path, so the scan
+        # above sees its import
+        assert {"classify", "island_data"} <= fast
+        # the module-level definitions, and every name that the line test
+        # reads through them
+        defs = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.update((n.id, node) for target in targets for n in ast.walk(target)
+                            if isinstance(n, ast.Name))
+        reached, todo = set(), ["in_line"]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                if name in defs:
+                    todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
+        assert "_line_offset" in reached
+        assert sorted(reached & fast) == []
 
 
 # --- sampled invariants ----------------------------------------------------

@@ -11,9 +11,10 @@ import pytest
 
 from earring import words
 from earring.charts import PointH, PointHat, edge_at, atlas_check
+from earring.checks import removal_cross_check
 from earring.corefree import (ScanReport, core_free_scan, midpoint_structure_check,
                               witness_conjugator)
-from earring.graph import base_vertex, island_data, ray_vertex, removal_cross_check
+from earring.graph import base_vertex, island_data, ray_vertex
 from earring.lifting import lift_word
 
 
