@@ -461,8 +461,9 @@ class _RayVertex(Vertex):
     `Vertex` makes.  The base point is R[:0]; its letter and final run are
     0 and it has no parent.  It steps by `Vertex.step`, the one step rule,
     which only the segment rules `ray_vertex` and `lift_ray_inverse`
-    bypass.  It is made only by `_ray`, which registers it, so
-    it is the one live vertex of its ray word and compares by identity."""
+    bypass.  It is made only by `_ray`, which registers a weak reference
+    to it, so it is the one live vertex of its ray word and compares by
+    identity; `__weakref__` is its one slot beyond a child's."""
 
     __slots__ = ("__weakref__",)
 
@@ -485,21 +486,44 @@ class _RayVertex(Vertex):
         return node
 
 
-# depth -> the live ray vertex of that depth.  Weak, so that a witness's
-# ray vertex and what hangs below it go when the certificate goes; a ray
-# vertex on a path from the base point is kept by its parent's children.
-_rays = weakref.WeakValueDictionary()
+# depth -> a weak reference to the live ray vertex of that depth, in a
+# plain dict: registering a vertex and dropping its entry run no Python
+# code but `_forget`.  Weak, so that a witness's ray vertex and what hangs
+# below it go when the certificate goes; a ray vertex on a path from the
+# base point is kept by its parent's children.  A dying vertex's weak
+# references are all cleared before any of their callbacks runs, so an
+# earlier callback may register a new vertex of that depth first: the
+# dead vertex's reference deletes the entry only while it is still the
+# entry.  `reset_caches()` drops the references with the entries, and a
+# dropped reference calls nothing.
+_rays: dict = {}
+
+
+class _RayRef(weakref.ref):
+    __slots__ = ("depth",)
+
+
+def _forget(ref: _RayRef) -> None:
+    """The callback of a dead ray vertex's reference: drop its entry,
+    unless a newer vertex of that depth holds it.  It must not raise, as
+    Python only prints what a weakref callback raises."""
+    if _rays.get(ref.depth) is ref:
+        del _rays[ref.depth]
 
 
 def _ray(depth: int, parent: Optional[Vertex] = None) -> Vertex:
     """The vertex R[:depth]; parent, when given, is R[:depth - 1].  The
     one constructor of ray vertices, so a ray word has one live vertex and
-    `==` on ray vertices is `is`."""
+    `==` on ray vertices is `is`.  It registers the vertex by a weak
+    reference that knows its depth (see `_rays`)."""
     if depth == 0:
         return _root
-    node = _rays.get(depth)
+    ref = _rays.get(depth)
+    node = ref() if ref is not None else None
     if node is None:
-        node = _rays[depth] = _RayVertex(depth, parent)
+        node = _RayVertex(depth, parent)
+        ref = _rays[depth] = _RayRef(node, _forget)
+        ref.depth = depth
     return node
 
 

@@ -72,17 +72,7 @@ def weight(w: Word) -> int:
     """len(w) + max generator index; defined for non-empty words."""
     if not w:
         raise ValueError("weight of the empty word is undefined")
-    return len(w) + max(abs(x) for x in w)
-
-
-def _letter_rank(x: Letter) -> int:
-    # a_i -> 2(i-1), a_i^{-1} -> 2(i-1)+1
-    return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
-
-
-def _letter_from_rank(d: int) -> Letter:
-    i = d // 2 + 1
-    return i if d % 2 == 0 else -i
+    return len(w) + max(map(abs, w))
 
 
 # --- canonical enumeration -------------------------------------------------
@@ -141,32 +131,41 @@ def _class_of(j: int) -> tuple:
     return _classes[k], j - 1 - _firsts[k]
 
 
+# Inside a class, a letter is a digit in base 2m, in the order a_1 <
+# a_1^{-1} < a_2 < ...: a_i is 2i - 2 and a_i^{-1} is 2i - 1, so x > 0 is
+# 2x - 2 and x < 0 is -2x - 1.  The class holds the words of `length`
+# digits with a digit >= low = 2m - 2.  Let h be the position of the first
+# such digit of w, and P the value of the digits before h in base low.
+# Among all words of its length w has the rank H, the value of its digits
+# in base 2m (Horner's rule).  The words before it that lack a high digit
+# are those whose first h digits, read in base low, are at most P: there
+# are (P + 1) * low^(length - h) of them.  So w's rank in its class is
+# H - (P + 1) * low^(length - h).
 def nth_word(j: int) -> Word:
     """The j-th word of the canonical enumeration (j >= 1)."""
     if j < 1:
         raise ValueError("enumeration index must be >= 1")
     (length, m, _), r = _class_of(j)
-    # unrank r among the words over digits 0..2m-1 that contain a digit
-    # >= 2m-2, in lexicographic order: while no such digit has appeared, a
-    # digit d < 2m-2 leaves size^rest - low^rest continuations, one >= 2m-2
-    # leaves size^rest
+    # unrank r, the inverse of the rank above: while no high digit has
+    # appeared, a digit d < low leaves part = size^rest - low^rest
+    # continuations.  At the first high digit (the last one at the latest)
+    # the low * part words whose next digit is low come before, and every
+    # digit from there on is free, so those digits are the plain base-2m
+    # digits of r - low * part + low * size^rest = r + low^(rest + 1)
     size = 2 * m
     low = size - 2
-    high = low == 0
     out = []
     for rest in range(length - 1, -1, -1):
-        block = size ** rest
-        if high:
-            d, r = divmod(r, block)
-        else:
-            part = block - low ** rest
-            if r < low * part:
-                d, r = divmod(r, part)
-            else:
-                d, r = divmod(r - low * part, block)
-                d += low
-                high = True
-        out.append(_letter_from_rank(d))
+        part = size ** rest - low ** rest
+        if r >= low * part:
+            r += low ** (rest + 1)
+            break
+        d, r = divmod(r, part)
+        out.append(~(d >> 1) if d & 1 else (d >> 1) + 1)
+    out += [0] * (rest + 1)
+    for i in range(length - 1, length - 2 - rest, -1):
+        r, d = divmod(r, size)
+        out[i] = ~(d >> 1) if d & 1 else (d >> 1) + 1
     return tuple(out)
 
 
@@ -185,22 +184,21 @@ def index_of(w: Word) -> int:
     k = (wt - 1) * (wt - 2) // 2 + length - 1
     while len(_classes) <= k:
         _add_weight()
-    # rank w inside its class; the inverse of the unranking in nth_word
+    # rank w inside its class, as above: H - (P + 1) * low^(length - h)
+    # with H the Horner value `horner` and P the prefix value `p`
     size = 2 * m
     low = size - 2
-    high = low == 0
-    r = 0
-    for rest, x in zip(range(length - 1, -1, -1), w):
-        d = _letter_rank(x)
-        block = size ** rest
-        if high:
-            r += d * block
-        elif d < low:
-            r += d * (block - low ** rest)
-        else:
-            r += low * (block - low ** rest) + (d - low) * block
-            high = True
-    return _firsts[k] + r + 1
+    letters = iter(w)
+    horner = p = 0
+    for h, x in enumerate(letters):
+        d = 2 * x - 2 if x > 0 else -2 * x - 1
+        horner = horner * size + d
+        if d >= low:
+            break
+        p = p * low + d
+    for x in letters:
+        horner = horner * size + (2 * x - 2 if x > 0 else -2 * x - 1)
+    return _firsts[k] + horner - (p + 1) * low ** (length - h) + 1
 
 
 def word_length(j: int) -> int:

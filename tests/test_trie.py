@@ -277,6 +277,61 @@ class TestRayVertices:
         assert len(graph._rays) == 0
 
 
+class TestRayRegistry:
+    """`graph._rays` holds a weak reference per live ray vertex: the entry
+    goes with the vertex, neither a vertex from before a reset nor one that
+    dies after a new vertex of its depth was made drops the new entry, and
+    a ray vertex made by a walk is the registered one."""
+
+    def test_entry_goes_with_its_vertex(self):
+        from earring import graph
+        reset_caches()
+        before = len(graph._rays)
+        v = ray_vertex(10 ** 6 + 7)
+        assert len(graph._rays) == before + 1
+        del v
+        gc.collect()
+        assert len(graph._rays) == before
+
+    def test_old_vertex_keeps_the_new_entry(self):
+        from earring import graph
+        reset_caches()
+        n = 1001
+        old = ray_vertex(n)
+        reset_caches()
+        new = ray_vertex(n)
+        assert new is not old
+        # the old vertex dies after the new trie registered R[:n]
+        del old
+        gc.collect()
+        assert ray_vertex(n) is new
+        assert graph._rays[n]() is new
+
+    def test_a_vertex_made_while_the_old_one_dies_stays(self):
+        # every weak reference to a dying vertex is cleared before any of
+        # their callbacks runs, and CPython runs the newest callback first:
+        # the probe's callback registers a new R[:n] before the registry's
+        # callback for the old vertex runs, which must leave that entry
+        from earring import graph
+        reset_caches()
+        n = 1001
+        made = []
+        old = ray_vertex(n)
+        probe = weakref.ref(old, lambda _: made.append(ray_vertex(n)))
+        del old
+        gc.collect()
+        assert probe() is None and len(made) == 1
+        assert ray_vertex(n) is made[0]
+        assert graph._rays[n]() is made[0]
+
+    def test_walked_ray_child_is_registered(self):
+        reset_caches()
+        one = base_vertex().step(1)[1]
+        two = one.step(2)[1]
+        assert ray_vertex(1) is one and ray_vertex(2) is two
+        assert two.parent is one
+
+
 class TestLazyClassification:
     """A vertex locates its island only when a label above 2 is asked of
     it; the checks above read hit and e_set on every vertex, so they

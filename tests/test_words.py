@@ -216,6 +216,56 @@ class TestFarIndexAgainstReference:
             assert (anchor_index(n), anchor_index(n - 1)) == (j, j - 1), j
 
 
+def _class_bounds(max_weight):
+    """(length, m, first index, last index) of every class of weight up to
+    max_weight, in enumeration order, counted from the class sizes."""
+    before = 0
+    for wt in range(2, max_weight + 1):
+        for length in range(1, wt):
+            m = wt - length
+            count = (2 * m) ** length - (2 * m - 2) ** length
+            yield length, m, before + 1, before + count
+            before += count
+
+
+class TestClassBoundaries:
+    """Ranking and unranking at the edges of the (length, m) classes, where
+    the first high digit is the last letter or the first, and in the m = 1
+    classes, where every digit is high."""
+
+    def test_first_and_last_word_of_every_class(self):
+        ref = _perfbench_reference()
+        for length, m, first, last in _class_bounds(40):
+            # a_1^(length-1) a_m, and (a_m^-1)^length
+            lo = (1,) * (length - 1) + (m,) if m > 1 else (1,) * length
+            hi = (-m,) * length
+            assert ref.nth_word(first) == lo and ref.nth_word(last) == hi, (length, m)
+            assert (nth_word(first), nth_word(last)) == (lo, hi), (length, m)
+            assert (index_of(lo), index_of(hi)) == (first, last), (length, m)
+
+    def test_every_word_of_the_m1_classes(self):
+        for length, m, first, last in _class_bounds(13):
+            if m == 1:
+                spelled = list(itertools.product((1, -1), repeat=length))
+                assert len(spelled) == last - first + 1
+                for j, w in enumerate(spelled, first):
+                    assert nth_word(j) == w
+                    assert index_of(w) == j
+
+    def test_heavy_round_trip(self):
+        ref = _perfbench_reference()
+        # a_1^k, a_k, and a_k^-1 a_1^(k-2), of weights 100 to 199
+        heavy = [(1,) * 99, (1,) * 198, (100,), (199,), (-60,) + (1,) * 58,
+                 (-100,) + (1,) * 98, (2, -150, 150, 1)]
+        # CPU time, which other processes on the machine do not move
+        t0 = time.process_time()
+        for w in heavy:
+            assert 100 <= weight(w) <= 200
+            j = index_of(w)
+            assert nth_word(j) == w and ref.nth_word(j) == w
+        assert time.process_time() - t0 < 2.0
+
+
 class TestWeightBound:
     """The class table stops at words.MAX_WEIGHT: a heavier word, or an
     index past the words it lists, raises ValueError before the table
