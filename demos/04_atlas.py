@@ -56,8 +56,8 @@ try:
 except ValueError as exc:
     print("expected refusal:", exc)
 
-# Randomized audit: cover, chart disjointness per kind, exact round
-# trips, planar tolerance, overlap agreement, range nesting.
+# Randomized audit: cover, chart disjointness per kind, and the exact
+# round trip local_inverse(c, q(p)) == p through every chart containing p.
 report = atlas_check(500, seed=1)
 print(f"atlas check: {report.samples} samples, {report.round_trips} round trips, "
       f"{report.overlaps} overlaps, {len(report.failures)} failures")

@@ -4,9 +4,8 @@ inverses whose round trips certify the local-homeomorphism structure.
 
 Points downstairs are held symbolically as (circle index, parameter t)
 with t in (0, 1); t in {0, 1} is identified with the origin.  The planar
-embedding is used only for display and tolerance checks.  Points,
-edges, charts and the audit report are named tuples: they compare by
-value and are immutable.
+embedding is used only for display.  Points, edges, charts and the audit
+report are named tuples: they compare by value and are immutable.
 """
 
 from __future__ import annotations
@@ -132,8 +131,9 @@ class PointHat(NamedTuple):
 
 
 def vertex_chart_level(v: Vertex) -> int:
-    """Minimal n >= 2 with all tree labels of v at most n."""
-    return max(2, max(v.e_set))
+    """Minimal n with all tree labels of v at most n; n >= 2, since every
+    vertex has the tree labels 1 and 2."""
+    return max(v.e_set)
 
 
 class ChartId(NamedTuple):
@@ -269,13 +269,11 @@ def _random_point(rng: random.Random) -> PointHat:
     return PointHat.on_edge(e, t)
 
 
-def atlas_check(samples: int, seed: int = 0, tol: float = 1e-12) -> AtlasReport:
-    """Sample points upstairs and verify: every point is covered by at
-    least one chart and at most one edge chart and one vertex chart; the
-    local inverse of the projection through every containing chart
-    returns the point exactly, and within `tol` in planar coordinates;
-    local inverses through overlapping charts agree; vertex-chart ranges
-    are nested by level."""
+def atlas_check(samples: int, seed: int = 0) -> AtlasReport:
+    """Sample points p upstairs and check, with x = q(p): at least one chart
+    contains p, at most one edge chart and at most one vertex chart do, the
+    range of each of them contains x, and the local inverse through each of
+    them returns p exactly, local_inverse(c, x) == p."""
     if samples < 0:
         raise ValueError("the sample count must be >= 0")
     rng = random.Random(seed)
@@ -293,29 +291,15 @@ def atlas_check(samples: int, seed: int = 0, tol: float = 1e-12) -> AtlasReport:
         if sum(1 for c in charts if c.tag == "vertex") > 1:
             failures.append(("vertex-disjoint", k))
         x = q_point(p)
-        inverses = []
+        inverted = 0
         for c in charts:
             if not chart_range_contains(c, x):
                 failures.append(("range", k))
                 continue
-            back = local_inverse(c, x)
-            inverses.append(back)
-            round_trips += 1
-            if q_point(back) != x:
+            inverted += 1
+            if local_inverse(c, x) != p:
                 failures.append(("round-trip", k))
-            px, bx = planar(q_point(p)), planar(q_point(back))
-            if math.dist(px, bx) > tol:
-                failures.append(("planar-tolerance", k))
-        if len(inverses) > 1:
+        round_trips += inverted
+        if inverted > 1:
             overlaps += 1
-            if any(b != inverses[0] for b in inverses[1:]):
-                failures.append(("overlap", k))
-        # range nesting at this sample: a point of U_{n+1}^inf lies in
-        # U_{m+1}^inf for every m <= n
-        for c in charts:
-            if c.tag == "vertex" and in_wedge_chart(x, c.level):
-                # smaller level means a larger range: it must contain x
-                for m in range(2, c.level):
-                    if not in_wedge_chart(x, m):
-                        failures.append(("nesting", k))
     return AtlasReport(samples, round_trips, overlaps, tuple(failures))

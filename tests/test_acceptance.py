@@ -241,7 +241,7 @@ def criterion_7():
 
 def criterion_8():
     """Sampled atlas properties at 1000 points."""
-    report = atlas_check(1000, seed=0, tol=1e-12)
+    report = atlas_check(1000, seed=0)
     return {
         "samples": report.samples,
         "round_trips": report.round_trips,

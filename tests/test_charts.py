@@ -180,13 +180,15 @@ class TestRanges:
         assert not in_wedge_chart(PointH.on_circle(1, 0.5), 2)
 
     def test_wedge_nesting(self):
-        # the level-m range contains the level-n range for m <= n
-        pts = [PointH.origin(), PointH.on_circle(4, 0.5), PointH.on_circle(1, 0.9)]
+        # the level-m range contains the level-n range for m <= n, on a grid
+        # that straddles both end-arc boundaries of circles 1-12
+        ts = (0.001, 0.374, 0.375, 0.376, 0.5, 0.624, 0.625, 0.626, 0.999)
+        pts = [PointH.origin()] + [PointH.on_circle(i, t) for i in range(1, 13) for t in ts]
         for x in pts:
-            for n in range(2, 8):
+            for n in range(2, 13):
                 if in_wedge_chart(x, n):
                     for m in range(2, n):
-                        assert in_wedge_chart(x, m)
+                        assert in_wedge_chart(x, m), (x, n, m)
 
     def test_vertex_chart_level_on_island(self):
         assert vertex_chart_level(base_vertex()) == 2
@@ -205,6 +207,14 @@ class TestAtlasCheck:
         a = atlas_check(60, seed=3)
         b = atlas_check(60, seed=3)
         assert a == b
+
+    def test_wrong_preimage_is_a_round_trip_failure(self, monkeypatch):
+        # a local inverse that takes the outgoing edge a_i for the incoming
+        # one still projects to x: only the exact round trip names it
+        monkeypatch.setattr("earring.charts.edge_into", edge_at)
+        report = atlas_check(1000, seed=0)
+        assert report.failures
+        assert {kind for kind, _ in report.failures} == {"round-trip"}
 
     def test_negative_sample_count_is_rejected(self):
         with pytest.raises(ValueError):

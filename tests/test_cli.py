@@ -99,9 +99,9 @@ class TestZpath:
     def test_far_path_is_answered_quickly(self, capsys, json_flag, j):
         # a vertex past MAX_LIFT_LETTERS is written in the compact form
         argv = ["--json"] if json_flag else []
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         code, out, err = run_cli(capsys, *argv, "zpath", j)
-        assert time.perf_counter() - t0 < 1
+        assert time.process_time() - t0 < 1
         assert (code, err) == (0, "")
         if json_flag:
             assert json.loads(out)["output"]["z_path"] == self.FAR_PATHS[j]
@@ -226,9 +226,9 @@ class TestWitness:
     def test_long_conjugator_answers_quickly(self, capsys, json_flag):
         # a_12 has index 41,501,135 and an anchor of 777,124,938 letters
         argv = ["--json"] if json_flag else []
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         code, out, err = run_cli(capsys, *argv, "witness", "12")
-        assert time.perf_counter() - t0 < 1
+        assert time.process_time() - t0 < 1
         assert code == 0 and err == ""
         ray = "ray[777124938]"
         if json_flag:
@@ -261,9 +261,9 @@ class TestWitness:
                        "endpoint=ray[596] ray[595]^-1 verdict=True\n")
 
     def test_trace_past_the_spelling_bound_is_refused(self, capsys):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         code, out, err = run_cli(capsys, "witness", "--trace", "12")
-        assert time.perf_counter() - t0 < 1
+        assert time.process_time() - t0 < 1
         assert code == 1
         assert "has 1554249877 steps" in out + err
 
@@ -272,9 +272,9 @@ class TestWitness:
     def test_heavy_one_letter_word_is_refused_quickly(self, capsys, letter, json_flag):
         # a_m has weight m + 1, past the word index's bound of 384
         message = f"the word has weight {int(letter) + 1}; the word index stops at weight 384"
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         code, out, err = run_cli(capsys, *(["--json"] if json_flag else []), "witness", letter)
-        assert time.perf_counter() - t0 < 1
+        assert time.process_time() - t0 < 1
         assert code == 1
         if json_flag:
             assert json.loads(out) == {"command": "witness", "input": letter, "output": {},

@@ -45,14 +45,14 @@ class TestWitnessConjugator:
 
     @pytest.mark.parametrize("w", [(12,), (40,), nth_word(10 ** 100)])
     def test_far_indices_answer_quickly(self, w):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         cert = witness_conjugator(w)
         assert cert.verdict is True
         assert cert.midpoint.depth == cert.midpoint.ray_len == cert.beta.length
         assert cert.beta.length == anchor_length(cert.j)
         assert cert.beta[:5] == (1, 2, 1, 2, 1)
         assert cert.turn.depth <= cert.beta.length + len(w)
-        assert time.perf_counter() - t0 < 1
+        assert time.process_time() - t0 < 1
 
     def test_beta_is_a_lazy_ray_prefix(self):
         cert = witness_conjugator((12,))
@@ -71,10 +71,10 @@ class TestWitnessConjugator:
     def test_far_endpoint_is_refused_before_beta_is_spelled(self, monkeypatch):
         # witness 12's endpoint is 777,124,938 steps past its turn
         cert = witness_conjugator((12,))
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         with pytest.raises(ValueError, match="777124938 steps"):
             cert.conjugate_endpoint
-        assert time.perf_counter() - t0 < 0.1
+        assert time.process_time() - t0 < 0.1
         # the bound is MAX_LIFT_LETTERS, read when the endpoint is
         from earring import words
         monkeypatch.setattr(words, "MAX_LIFT_LETTERS", 100)
@@ -85,10 +85,10 @@ class TestWitnessConjugator:
     def test_far_trace_is_refused_before_beta_is_spelled(self, monkeypatch):
         # the trace of witness 12 has 2 * 777,124,938 + 1 steps
         cert = witness_conjugator((12,))
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         with pytest.raises(ValueError, match="has 1554249877 steps"):
             cert.trace
-        assert time.perf_counter() - t0 < 0.1
+        assert time.process_time() - t0 < 0.1
         # the bound is MAX_LIFT_LETTERS, read when the trace is
         from earring import words
         cert = witness_conjugator((3,))
@@ -135,11 +135,11 @@ class TestMidpointStructure:
         # vertices by identity, and spells none.  Only plain values are
         # asserted, since a failing assert would show the report, whose
         # vertices spell their words
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         report = midpoint_structure_check(witness_conjugator(w))
         ok, stays, count = report.ok, report.stays_on_island, len(report.records)
         assert (ok, stays, count) == (True, True, len(w))
-        assert time.perf_counter() - t0 < 1
+        assert time.process_time() - t0 < 1
 
     def test_records_agree_with_spelled_words(self):
         # the midpoint twin: each record's agree against the spelled

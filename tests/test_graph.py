@@ -272,9 +272,9 @@ class TestCrossCheck:
     def test_far_island_is_cheap(self):
         # the closed form spells a prefix only before a letter of index
         # above 2, not at each of the 3,648 ray letters of the anchor
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         report = removal_cross_check(400, 1)
-        assert time.perf_counter() - t0 < 4
+        assert time.process_time() - t0 < 4
         assert (report.examined, report.removed, len(report.disagreements)) == (196, 136, 0)
 
     def test_a1_neighbor_of_zpath_never_removed(self):
@@ -442,14 +442,14 @@ class TestIslandHit:
     def test_far_line_hit_answers_quickly(self):
         # R[:n] a_12 a_12 with n = 777,124,938: the hit names its line base
         # by its vertex; reading hit.u would spell n letters
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         j = 41_501_135
         n = anchor_length(j)
         v = ray_vertex(n).step(12)[1].step(12)[1]
         hit = v.hit
         assert (hit.j, hit.kind, hit.s, hit.r) == (j, "L", 12, 2)
         assert hit.data.records[hit.k] is ray_vertex(n)
-        assert time.perf_counter() - t0 < 1
+        assert time.process_time() - t0 < 1
 
 
 def _queries(words):

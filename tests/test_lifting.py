@@ -48,9 +48,9 @@ class TestIslandLine:
         # every vertex of a_5^r from the anchor of a_5 lies on the island's
         # line with s = 5; no step spells the vertex's growing final run
         j = index_of((5,))
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         hit = endpoint((5,) * 100000, ray_vertex(anchor_length(j))).hit
-        assert time.perf_counter() - t0 < 5
+        assert time.process_time() - t0 < 5
         assert (hit.j, hit.kind, hit.s, hit.r) == (125, "L", 5, 100000)
 
 

@@ -275,10 +275,10 @@ class TestWeightBound:
                                    (2, -1000), (99999999999999999999,)])
     def test_index_of_refuses_a_heavier_word_at_once(self, w):
         classes = len(words._classes)
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         with pytest.raises(ValueError, match=f"weight {weight(w)};"):
             index_of(w)
-        assert time.perf_counter() - t0 < 0.1
+        assert time.process_time() - t0 < 0.1
         assert len(words._classes) == classes
 
     def test_the_bound_is_the_table_weight(self, monkeypatch):
