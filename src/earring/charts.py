@@ -15,7 +15,7 @@ import random
 from typing import NamedTuple, Optional
 
 from .graph import Vertex, base_vertex
-from .words import anchor
+from .words import anchor, check_index
 
 
 class PointH(NamedTuple):
@@ -31,8 +31,7 @@ class PointH(NamedTuple):
 
     @staticmethod
     def on_circle(i: int, t: float) -> "PointH":
-        if i < 1:
-            raise ValueError("circle index must be >= 1")
+        check_index(i, "circle index must be >= 1")
         if not 0.0 <= t <= 1.0:
             raise ValueError("parameter must lie in [0, 1]")
         if t in (0.0, 1.0):
@@ -46,8 +45,7 @@ class PointH(NamedTuple):
 
 def l_point(i: int, t: float) -> tuple:
     """Planar coordinates of the i-th circle at parameter t."""
-    if i < 1:
-        raise ValueError("circle index must be >= 1")
+    check_index(i, "circle index must be >= 1")
     return (math.sin(2 * math.pi * t) / i, (1 - math.cos(2 * math.pi * t)) / i)
 
 
@@ -55,6 +53,9 @@ def planar(p: PointH) -> tuple:
     if p.is_origin:
         return (0.0, 0.0)
     return l_point(p.circle, p.t)
+
+
+_LABEL = "edge label must be a positive index"
 
 
 class _EdgeFields(NamedTuple):
@@ -72,8 +73,7 @@ class Edge(_EdgeFields):
     __slots__ = ()
 
     def __new__(cls, base: Vertex, label: int, kind: str):
-        if label < 1:
-            raise ValueError("edge label must be a positive index")
+        check_index(label, _LABEL)
         expected = "tree" if label in base.e_set else "loop"
         if kind != expected:
             raise ValueError(
@@ -101,6 +101,7 @@ def edge_at(v: Vertex, label: int) -> Edge:
 
 def edge_into(v: Vertex, label: int) -> Edge:
     """The edge labeled a_label terminating in v."""
+    check_index(label, _LABEL)
     if label in v.e_set:
         u = v.step(-label)[1]
         return Edge(u, label, "tree")

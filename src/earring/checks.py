@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from . import words
 from .graph import classify, island_data
-from .words import Word, check_word, invert, is_reduced, reduce_word
+from .words import Word, check_index, check_word, invert, is_reduced, reduce_word
 
 
 def in_line(v: Word, u: Word, s: int) -> Optional[int]:
@@ -28,8 +28,7 @@ def in_line(v: Word, u: Word, s: int) -> Optional[int]:
     serve as an independent check on them.  The common prefix of u and v,
     found at C speed, cancels first: that is free reduction too.
     """
-    if s < 1:
-        raise ValueError("line direction must be >= 1")
+    check_index(s, "line direction must be >= 1")
     v, u = check_word(v), check_word(u)
     if not is_reduced(u):
         raise ValueError("in_line expects a reduced base vertex")

@@ -3,10 +3,12 @@
     earring [--json] COMMAND ARGS...
 
 `earring --help` lists the commands and `earring COMMAND --help` shows
-one.  Output is one line of text per invocation, or one JSON object with
-``--json``.  Exit codes: 0 ok, 1 usage or precondition error, 2 a scan
-found a property violation.  A refusal is `COMMAND: error: MESSAGE` on
-stderr, or with ``--json`` one object with status "error" on stdout.
+one.  Output is one line of text per invocation, except text `lift
+--trace`, which prints one line per step and then an `endpoint` line;
+with ``--json`` it is one JSON object.  Exit codes: 0 ok, 1 usage or
+precondition error, 2 a scan found a property violation.  A refusal is
+`COMMAND: error: MESSAGE` on stderr, or with ``--json`` one object with
+status "error" on stdout.
 
 Every command is one entry of COMMANDS, which holds its help line, its
 arguments, its options and its handler; the parser and the help text are

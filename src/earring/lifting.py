@@ -86,19 +86,19 @@ def lift_ray_inverse(v: Vertex, n: int) -> tuple:
     step, so only the cancellation is computed: letter by letter through
     v's letters past its ray agreement, then in one step along the ray.
     Making that end vertex takes m more steps; see `endpoint`."""
-    k = 0  # letters of R[:n]^{-1} cancelled so far
-    while k < n and v.depth > v.ray_len:
-        if v.letter != _ray_letter(n - 1 - k):
-            return v, n - k
+    m = operator.index(n)  # the letters of R[:n]^{-1} not yet lifted
+    if m < 0:
+        raise ValueError("a ray prefix has a length >= 0")
+    while m and v.depth > v.ray_len and v.letter == _ray_letter(m - 1):
         v = v.parent
-        k += 1
-    # v = R[:q] ends in R[q-1], which cancels R[n-1-k]^{-1} exactly when
-    # q and n - k have the same parity; then so do the letters before both
-    q = v.depth
-    if k < n and (q - n + k) % 2 == 0:
-        c = min(q, n - k)
-        return ray_vertex(q - c), n - k - c
-    return v, n - k
+        m -= 1
+    # on the ray, v = R[:q] ends in R[q-1], which cancels R[m-1]^{-1}
+    # exactly when q and m have the same parity; then so do the letters
+    # before both
+    if m and v.depth == v.ray_len and (v.depth - m) % 2 == 0:
+        c = min(v.depth, m)
+        return ray_vertex(v.depth - c), m - c
+    return v, m
 
 
 class RayPrefix(Sequence):
@@ -119,17 +119,15 @@ class RayPrefix(Sequence):
         return self.length
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            start, stop, step = i.indices(self.length)
-            if step == 1:
-                return ray_run(start, stop)
-            return tuple(map(_ray_letter, range(start, stop, step)))
-        p = operator.index(i)
-        if p < 0:
-            p += self.length
-        if not 0 <= p < self.length:
-            raise IndexError("ray prefix index out of range")
-        return _ray_letter(p)
+        # range applies Python's index rules: negative indices, bounds,
+        # __index__ and every slice
+        try:
+            r = range(self.length)[i]
+        except IndexError:
+            raise IndexError("ray prefix index out of range") from None
+        if isinstance(r, int):
+            return _ray_letter(r)
+        return ray_run(r.start, r.stop) if r.step == 1 else tuple(map(_ray_letter, r))
 
     def __iter__(self):
         return iter(zigzag_prefix(self.length))

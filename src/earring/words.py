@@ -42,6 +42,15 @@ def check_word(w: Word) -> Word:
     return w
 
 
+def check_index(i: int, message: str) -> None:
+    """Refuse i as the index of a generator a_i unless it is a letter by
+    the rule of `check_word` and >= 1; an int below 1 with `message`."""
+    if i.__class__ is not int:
+        check_word((i,))
+    if i < 1:
+        raise ValueError(message)
+
+
 def reduce_word(w: Word) -> Word:
     """Fully cancel adjacent inverse pairs; idempotent."""
     out: list = []

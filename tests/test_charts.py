@@ -20,7 +20,9 @@ from earring.charts import (
     vertex_chart,
     vertex_chart_level,
 )
-from earring.graph import Vertex, base_vertex
+from earring.caching import reset_caches
+from earring.checks import in_line
+from earring.graph import Vertex, base_vertex, ray_vertex
 from earring.words import anchor
 
 
@@ -83,6 +85,62 @@ class TestEdges:
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Edge(base_vertex(), 3, "tree")
+
+
+def _trie_vertices():
+    """Every vertex of the current trie: those below the base point, and
+    those below each live ray vertex."""
+    from earring import graph
+    todo = [base_vertex()] + [ref() for ref in list(graph._rays.values())]
+    seen = set()
+    while todo:
+        v = todo.pop()
+        if v is None or v in seen:
+            continue
+        seen.add(v)
+        kids = v._children
+        if kids.__class__ is dict:
+            todo.extend(kids.values())
+        elif kids is not None:
+            todo.append(kids)
+    return seen
+
+
+class TestIndicesAreLetters:
+    """An edge label, a circle index and a line direction are indices of
+    generators: an int (not a bool) >= 1, as a letter of a word is.  Any
+    other value is refused before it can step, so it never becomes the
+    letter of a trie vertex."""
+
+    BAD = {
+        "edge_at-float": lambda: edge_at(ray_vertex(3), 1.0).terminal,
+        "edge_into-float": lambda: edge_into(Vertex.make((1,)), 2.0),
+        "Edge-float": lambda: Edge(base_vertex(), 1.5, "loop"),
+        "Edge-bool": lambda: Edge(Vertex.make((1,)), True, "tree"),
+        "on_circle-float": lambda: PointH.on_circle(2.5, 0.5),
+        "l_point-float": lambda: l_point(2.5, 0.5),
+        "in_line-float": lambda: in_line((1, 2), (1, 2), 2.5),
+        "in_line-bool": lambda: in_line((1, 2, 1), (1, 2), True),
+    }
+
+    @pytest.mark.parametrize("call", BAD.values(), ids=BAD.keys())
+    def test_refused_and_no_vertex_gets_the_letter(self, call):
+        reset_caches()
+        with pytest.raises(ValueError):
+            call()
+        for v in (Vertex.make((1, 2, 1, 1)), Vertex.make((1, -2))):
+            assert [type(x) for x in v.word] == [int] * len(v.word)
+        assert {type(v.letter) for v in _trie_vertices()} == {int}
+
+    def test_an_int_below_one_keeps_its_message(self):
+        with pytest.raises(ValueError, match="^edge label must be a positive index$"):
+            edge_at(base_vertex(), 0)
+        with pytest.raises(ValueError, match="^edge label must be a positive index$"):
+            edge_into(base_vertex(), -1)
+        with pytest.raises(ValueError, match="^circle index must be >= 1$"):
+            l_point(0, 0.5)
+        with pytest.raises(ValueError, match="^line direction must be >= 1$"):
+            in_line((), (), 0)
 
 
 class TestProjection:

@@ -1,11 +1,14 @@
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from earring.graph import Vertex, base_vertex, e_set, ray_vertex
-from earring.lifting import endpoint, in_k, lift_word
-from earring.words import anchor, anchor_length, concat, index_of, invert, reduce_word
+from earring.lifting import RayPrefix, endpoint, in_k, lift_ray_inverse, lift_word
+from earring.words import (
+    anchor, anchor_length, concat, index_of, invert, ray_run, reduce_word, zigzag_prefix,
+)
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
 word_st = st.lists(letters, max_size=14).map(tuple)
@@ -122,3 +125,76 @@ class TestInK:
     @given(word_st)
     def test_membership_is_endpoint_at_base(self, w):
         assert in_k(w) == (endpoint(w) is base_vertex())
+
+
+class TestRayPrefix:
+    """`RayPrefix(n)` indexes as the spelled `zigzag_prefix(n)` does, by
+    Python's own index rules, and spells only the letters asked for."""
+
+    BOUNDS = (None, -10, -2, 0, 1, 3, 10)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_int_indices(self, n):
+        ray, spelled = RayPrefix(n), zigzag_prefix(n)
+        for i in range(-n - 3, n + 3):
+            if -n <= i < n:
+                assert ray[i] == spelled[i], i
+            else:
+                with pytest.raises(IndexError, match="^ray prefix index out of range$"):
+                    ray[i]
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_slices(self, n):
+        ray, spelled = RayPrefix(n), zigzag_prefix(n)
+        for start in self.BOUNDS:
+            for stop in self.BOUNDS:
+                for step in (None, 1, 2, -1, -3):
+                    assert ray[start:stop:step] == spelled[start:stop:step], (start, stop, step)
+
+    def test_a_float_index_is_refused(self):
+        with pytest.raises(TypeError):
+            RayPrefix(5)[2.0]
+
+    def test_a_far_prefix_spells_only_what_is_asked(self):
+        # the conjugator of witness 40 has about 2.4 * 10^41 letters
+        n = anchor_length(index_of((40,)))
+        ray = RayPrefix(n)
+        t0 = time.process_time()
+        last, tail, inner = ray[-1], ray[-3:], ray[10 ** 40:10 ** 40 + 4]
+        assert time.process_time() - t0 < 0.1
+        assert (last, tail, inner) == ((n - 1) % 2 + 1, ray_run(n - 3, n), (1, 2, 1, 2))
+
+
+def _random_vertex(rng):
+    """A vertex near the zig-zag ray: a ray vertex, or an island's anchor,
+    followed by a short walk along tree edges."""
+    if rng.random() < 0.5:
+        v = ray_vertex(rng.randrange(70))
+    else:
+        v = ray_vertex(anchor_length(rng.randrange(1, 40)))
+    for _ in range(rng.randrange(12)):
+        i = rng.choice(sorted(v.e_set))
+        v = v.step(i if rng.random() < 0.5 else -i)[1]
+    return v
+
+
+class TestLiftRayInverse:
+    """The segment rule for R[:n]^{-1} against its definitional twin: the
+    letter-by-letter lift, every letter a tree step."""
+
+    def test_twin_of_the_letter_by_letter_lift(self):
+        rng = random.Random(24)
+        for _ in range(2000):
+            v, n = _random_vertex(rng), rng.randrange(60)
+            u, m = lift_ray_inverse(v, n)
+            spelled = invert(zigzag_prefix(n))
+            assert endpoint(spelled[:n - m], v) is u, (v, n)
+            assert endpoint(spelled, v).word == u.word + invert(zigzag_prefix(m)), (v, n)
+
+    def test_a_negative_length_is_refused(self):
+        with pytest.raises(ValueError):
+            lift_ray_inverse(ray_vertex(3), -1)
+
+    def test_a_fractional_length_is_refused(self):
+        with pytest.raises(TypeError):
+            lift_ray_inverse(ray_vertex(3), 2.5)
