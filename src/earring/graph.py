@@ -30,11 +30,22 @@ from .words import (
 )
 
 
+# 64 letters of the zig-zag ray, from an even position
+_RAY_BLOCK = (1, 2) * 32
+
+
 def ray_agreement(w: Word) -> int:
     """Length of the longest common prefix of w with the infinite
     zig-zag ray a_1 a_2 a_1 a_2 ...: the position of the first letter
-    that differs from the ray's, found by C-level iterators."""
-    return next(compress(count(), map(operator.ne, w, cycle((1, 2)))), len(w))
+    that differs from the ray's.  Whole blocks of 64 ray letters are
+    skipped by one C-level tuple comparison each, and only the first
+    block that differs is searched letter by letter, by C-level
+    iterators; each pass slices its own block, so the cost is linear."""
+    i = 0
+    # tuple(): a list's slice never equals the block
+    while tuple(w[i:i + 64]) == _RAY_BLOCK:
+        i += 64
+    return next(compress(count(i), map(operator.ne, w[i:i + 64], cycle((1, 2)))), len(w))
 
 
 # --- island data -----------------------------------------------------------
@@ -230,8 +241,9 @@ def _labels(hit: Optional[IslandHit]) -> frozenset:
 _LOW_LETTERS = frozenset((1, -1, 2, -2))
 
 
-def _descend(v: Word) -> Optional["Vertex"]:
-    """The trie vertex of the reduced word v, or None if v is pruned.
+def _descend(v: Word, p: int) -> Optional["Vertex"]:
+    """The trie vertex of the reduced word v, or None if v is pruned; p
+    is v's ray agreement, `ray_agreement(v)`.
 
     The removed vertices of an island are reduce(z . a_s^{+-r} . a_k . g)
     with z on the anchored edge-path; the power may cancel into z, but its
@@ -240,8 +252,8 @@ def _descend(v: Word) -> Optional["Vertex"]:
     literal prefix of v.  Hence v survives exactly when each of its letters
     is a tree step from the prefix before it, and it is pruned at the
     first loop of `Vertex.step`.  The letters of v's ray agreement are a_1
-    and a_2, tree labels everywhere, so that prefix is taken in one step."""
-    p = ray_agreement(v)
+    and a_2, tree labels everywhere, so that prefix is taken in one step,
+    and only the letters past it are read here."""
     node = _ray(p)
     for x in v[p:]:
         kind, node = node.step(x)
@@ -259,16 +271,28 @@ _index_bytes = 0
 
 
 def _vertex_of(v: Word):
-    """The trie vertex of the reduced word v, or False if v is pruned."""
+    """The trie vertex of the reduced word v, or False if v is pruned.
+
+    A letter that is not a plain int is refused before the lookup, since
+    (True,) and (1.0,) compare and hash equal to (1,).  A key of the index
+    holds plain nonzero ints and is reduced, and so does a word of plain
+    ints equal to it: a hit reads each letter for the type pass and the
+    hash only.  A miss reads the ray agreement p by block comparisons;
+    R[:p] is nonzero and reduced, so the zero check runs on v[p:] and the
+    reduction check on v[p - 1:], the junction letter and the tail.  A
+    bad letter is refused first, then a zero, then an unreduced word."""
     global _index_bytes
-    # validate first: (True,) hashes equal to (1,)
-    v = check_word(v)
+    v = tuple(v)
+    if operator.countOf(map(type, v), int) != len(v):
+        check_word(v)
     node = _index.get(v)
     if node is not None:
         return node
-    if not is_reduced(v):
+    p = ray_agreement(v)
+    check_word(v[p:])
+    if not is_reduced(v[p - 1:] if p else v):
         raise ValueError("expected a reduced word")
-    node = _descend(v) or False
+    node = _descend(v, p) or False
     cost = 128 + 8 * len(v)
     limit = cache_limit()
     if cost > limit:

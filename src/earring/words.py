@@ -31,13 +31,15 @@ Word = tuple  # tuple[int, ...]
 
 
 def check_word(w: Word) -> Word:
-    """Validate letters (nonzero ints, not bools); return w as a tuple."""
+    """Validate letters, nonzero plain ints: no bool or other int
+    subclass, which would compare and hash equal to a plain letter and so
+    could become the letter of a trie vertex; return w as a tuple."""
     w = tuple(w)
-    # a word of plain nonzero ints passes at C speed, with no Python loop
+    # a word of plain nonzero ints passes at C speed, with no Python loop;
+    # a word that is not all plain ints always raises here
     if operator.countOf(map(type, w), int) != len(w) or not all(w):
         for x in w:
-            # bool is an int subclass
-            if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)) or x == 0:
+            if type(x) is not int or x == 0:
                 raise ValueError(f"invalid letter {x!r}: letters are nonzero ints")
     return w
 

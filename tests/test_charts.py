@@ -132,6 +132,19 @@ class TestIndicesAreLetters:
             assert [type(x) for x in v.word] == [int] * len(v.word)
         assert {type(v.letter) for v in _trie_vertices()} == {int}
 
+    def test_an_int_enum_label_is_refused(self):
+        # an IntEnum member equals its value: as an edge label it would
+        # become the letter of the terminal vertex
+        from enum import IntEnum
+        A = IntEnum("A", {"one": 1})
+        reset_caches()
+        with pytest.raises(ValueError, match=r"^invalid letter <A\.one: 1>: letters are "
+                                             r"nonzero ints$"):
+            edge_at(ray_vertex(5), A.one)
+        for w in ((1, 2, 1, 1), (1, 2, 1, 2, 1, 1)):
+            assert [type(x) for x in Vertex.make(w).word] == [int] * len(w)
+        assert {type(v.letter) for v in _trie_vertices()} == {int}
+
     def test_an_int_below_one_keeps_its_message(self):
         with pytest.raises(ValueError, match="^edge label must be a positive index$"):
             edge_at(base_vertex(), 0)

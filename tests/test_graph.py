@@ -1,10 +1,12 @@
 import functools
+import re
 import time
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earring import graph
+from earring import caching, graph
 from earring.caching import reset_caches
 from earring.checks import formula_removes, in_line, removal_cross_check
 from earring.graph import (
@@ -20,7 +22,7 @@ from earring.graph import (
     survives,
 )
 from earring.lifting import RayPrefix
-from earring.words import anchor, anchor_length, invert, nth_word, reduce_word
+from earring.words import anchor, anchor_length, invert, nth_word, reduce_word, zigzag_prefix
 
 
 class TestIslandData:
@@ -218,6 +220,79 @@ class TestInputValidation:
     def test_invalid_neighbor_letter_rejected(self, bad):
         with pytest.raises(ValueError, match="invalid letter"):
             neighbor(base_vertex(), bad)
+
+
+class A(IntEnum):
+    one = 1
+
+
+class I(int):
+    pass
+
+
+def _refusal(x):
+    return "^" + re.escape(f"invalid letter {x!r}: letters are nonzero ints") + "$"
+
+
+class TestIntSubclassLetters:
+    """A letter is a plain int: an int subclass compares and hashes equal
+    to a plain letter, so it would become the letter of a trie vertex and
+    be spelled in every later answer for that word."""
+
+    def test_survives_refuses_an_int_subclass(self):
+        reset_caches()
+        with pytest.raises(ValueError, match=_refusal(I(3))):
+            survives((1, 2, I(3)))
+        assert [type(x) for x in Vertex.make((1, 2, 1, 1)).word] == [int] * 4
+
+    def test_make_refuses_an_int_enum(self):
+        reset_caches()
+        with pytest.raises(ValueError, match=_refusal(A.one)):
+            Vertex.make((1, 2, 1, A.one))
+        assert [type(x) for x in Vertex.make((1, 2, 1, 1)).word] == [int] * 4
+
+
+class TestRefusalsIgnoreTheIndex:
+    """A word with a bad letter is refused with the same message wherever
+    the letter stands, whatever the word index holds, and with the index
+    off: (True,), (1.0,) and (A.one,) compare and hash equal to (1,)."""
+
+    WORD = zigzag_prefix(100) + (3, 2, 3)
+    # first, inside the ray prefix, at the junction, last
+    POSITIONS = (0, 5, 64, 100, 102)
+    BAD = (True, False, 1.0, 2.0, A.one, 0, "1", None)
+
+    def _refusals(self):
+        for x in self.BAD:
+            for i in self.POSITIONS:
+                with pytest.raises(ValueError, match=_refusal(x)):
+                    survives(self.WORD[:i] + (x,) + self.WORD[i + 1:])
+
+    def test_refused_everywhere(self):
+        reset_caches()
+        self._refusals()
+
+    def test_refused_everywhere_with_the_index_off(self):
+        reset_caches()
+        caching._limit = 0
+        try:
+            self._refusals()
+            assert graph._index == {}
+        finally:
+            reset_caches()
+
+    @pytest.mark.parametrize("x", [True, 1.0, 2.0, A.one], ids=repr)
+    def test_refused_after_the_equal_word_is_indexed(self, x):
+        reset_caches()
+        for i in self.POSITIONS:
+            bad = self.WORD[:i] + (x,) + self.WORD[i + 1:]
+            good = self.WORD[:i] + (int(x),) + self.WORD[i + 1:]
+            with pytest.raises(ValueError, match=_refusal(x)):
+                survives(bad)
+            survives(good)
+            assert good in graph._index
+            with pytest.raises(ValueError, match=_refusal(x)):
+                survives(bad)
 
 
 class TestESet:

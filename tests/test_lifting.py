@@ -1,9 +1,12 @@
 import random
+import re
 import time
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earring.caching import reset_caches
 from earring.graph import Vertex, base_vertex, e_set, ray_vertex
 from earring.lifting import RayPrefix, endpoint, in_k, lift_ray_inverse, lift_word
 from earring.words import (
@@ -33,6 +36,16 @@ class TestLiftWord:
     def test_projection_recovers_the_word(self):
         for w in [(), (3,), (1, 2, -1), (1, 1, -1, 5, 2)]:
             assert lift_word(w).projection() == w
+
+    def test_int_enum_letter_refused(self):
+        # an IntEnum member equals its value, so it would become the
+        # letter of a trie vertex
+        A = IntEnum("A", {"three": 3})
+        reset_caches()
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "invalid letter <A.three: 3>: letters are nonzero ints") + "$"):
+            lift_word((A.three,))
+        assert [type(x) for x in Vertex.make((1, 2, 1, 1)).word] == [int] * 4
 
     def test_start_vertex(self):
         v = Vertex.make(anchor(9))

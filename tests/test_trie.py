@@ -2,13 +2,15 @@
 domains, and the memory a long lift takes."""
 
 import gc
+import operator
 import random
 import tracemalloc
 import weakref
-from itertools import permutations
+from itertools import compress, count, cycle, permutations, product
 
 import pytest
 
+from earring import caching, graph
 from earring.caching import reset_caches
 from earring.corefree import core_free_scan, witness_conjugator
 from earring.graph import (
@@ -18,14 +20,15 @@ from earring.graph import (
     classify,
     e_set,
     island_data,
+    island_of,
     ray_agreement,
     ray_vertex,
     survives,
 )
 from earring.charts import _random_point, charts_containing, local_inverse, q_point
 from earring.lifting import endpoint, lift_ray_inverse, lift_word
-from earring.words import (anchor, anchor_length, index_of, invert, nth_word, reduce_word,
-                           zigzag_prefix)
+from earring.words import (anchor, anchor_length, check_word, index_of, invert, is_reduced,
+                           nth_word, ray_run, reduce_word, zigzag_prefix)
 
 
 def _check_vertex(v, w):
@@ -531,3 +534,109 @@ class TestOneObjectByEveryRoute:
     def test_far_ray_vertex_is_its_parent_s_child(self):
         v = ray_vertex(10 ** 50 + 1)
         assert v.parent.step(1)[1] is v
+
+
+# --- the word-query path against its definition -------------------------------
+
+
+def _twin(w):
+    """The word-query path by its definition: the letters checked, then
+    the word checked reduced, then its letters folded one by one by
+    `Vertex.step` from the base point, where a loop step means w is pruned.
+    The vertex, False for a pruned word, or the refusal's message."""
+    try:
+        w = check_word(w)
+    except ValueError as exc:
+        return str(exc)
+    if not is_reduced(w):
+        return "expected a reduced word"
+    v = base_vertex()
+    for letter in w:
+        kind, v = v.step(letter)
+        if kind == "loop":
+            return False
+    return v
+
+
+def _queries(w):
+    """survives, island_of, e_set and Vertex.make on w: each answer, or
+    the message it raises."""
+    out = []
+    for query in (survives, island_of, e_set, Vertex.make):
+        try:
+            out.append(query(w))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _expected(node):
+    """What the four queries answer for a word whose twin is `node`."""
+    if isinstance(node, str):
+        return [node] * 4
+    if node is False:
+        return [False, None, "e_set is defined only for surviving vertices",
+                "word does not survive the pruning"]
+    hit = node.hit
+    return [True, hit.j if hit else None, node.e_set, node]
+
+
+def _iterator_form(w):
+    return next(compress(count(), map(operator.ne, w, cycle((1, 2)))), len(w))
+
+
+class TestQueryPathAgainstItsDefinition:
+    """Every word of up to three letters over a_1^{+-1} .. a_3^{+-1},
+    unreduced ones too, grafted onto R[:p] at and around the 64-letter
+    blocks that `ray_agreement` compares: the queries give the twin's
+    answers, the same vertex object included, on a miss and on a hit."""
+
+    PREFIXES = (0, 1, 2, 63, 64, 65, 127, 128, 129)
+    TAILS = [t for n in range(4) for t in product((1, -1, 2, -2, 3, -3), repeat=n)]
+
+    def _check(self):
+        pruned = refused = 0
+        for p in self.PREFIXES:
+            for tail in self.TAILS:
+                w = zigzag_prefix(p) + tail
+                first = _queries(w)
+                node = _twin(w)
+                assert first == _expected(node), w
+                # the word answered again, from the index when it is on
+                assert _queries(w) == first, w
+                pruned += node is False
+                refused += isinstance(node, str)
+        return pruned, refused
+
+    def test_index_on(self):
+        reset_caches()
+        pruned, refused = self._check()
+        assert pruned > 100 and refused > 100
+        assert graph._index
+
+    def test_index_off(self):
+        reset_caches()
+        caching._limit = 0
+        try:
+            pruned, refused = self._check()
+            assert pruned > 100 and refused > 100
+            assert graph._index == {}
+        finally:
+            reset_caches()
+
+    def test_ray_agreement_at_every_mismatch(self):
+        for q in range(201):
+            ray = 1 if q % 2 == 0 else 2
+            for x in (3 - ray, -ray, 3, -3):
+                w = zigzag_prefix(q) + (x,) + ray_run(q + 1, q + 80)
+                assert ray_agreement(w) == _iterator_form(w) == q, (q, x)
+
+    def test_ray_agreement_of_ray_words(self):
+        for n in range(201):
+            w = zigzag_prefix(n)
+            assert ray_agreement(w) == _iterator_form(w) == n
+
+    def test_ray_agreement_of_a_list(self):
+        for q in (0, 63, 64, 65, 200):
+            w = list(zigzag_prefix(q)) + [3, 1, 2]
+            assert ray_agreement(w) == q

@@ -367,3 +367,15 @@ class TestCheckWord:
     def test_invalid_letters_rejected(self, bad):
         with pytest.raises(ValueError):
             check_word(bad)
+
+    def test_index_of_refuses_an_int_enum(self):
+        # an IntEnum member is an int subclass and equals its value: it is
+        # not a letter, here or in the trie
+        from enum import IntEnum
+        from earring.graph import Vertex
+        A = IntEnum("A", {"three": 3})
+        reset_caches()
+        with pytest.raises(ValueError, match=r"^invalid letter <A\.three: 3>: letters are "
+                                             r"nonzero ints$"):
+            index_of((A.three,))
+        assert [type(x) for x in Vertex.make((1, 2, 1, 1)).word] == [int] * 4
