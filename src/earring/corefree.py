@@ -14,14 +14,16 @@ tuples: they compare by value and are immutable.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 from . import words
 from .graph import Vertex, base_vertex, island_data, ray_vertex
 from .lifting import LiftTrace, RayPrefix, endpoint, in_k, lift_ray_inverse, lift_word
+# nth_word is kept as a name of this module: perfbench/tracer.py wraps it here
 from .words import (Word, anchor, anchor_length, check_word, format_word, index_of, invert,
-                    nth_word, reduce_word, weight)
+                    nth_word, reduce_word, words_of_weight)
 
 
 class _CertificateFields(NamedTuple):
@@ -149,27 +151,31 @@ class ScanReport(NamedTuple):
 def core_free_scan(max_weight: int) -> ScanReport:
     """Run the witness construction over every essential word of weight
     at most max_weight; report per-word K-membership and any verdict
-    failures (expected: none)."""
+    failures (expected: none).  The sweep walks one weight at a time
+    through `words.words_of_weight` and counts the index j itself, so no
+    word is unranked.  A weight past words.MAX_WEIGHT, where the word
+    index stops, is refused with ValueError before any word is certified."""
+    max_weight = operator.index(max_weight)  # True is 1, and 5.0 is refused
     if max_weight < 2:
         raise ValueError("max_weight must be >= 2")
+    if max_weight > words.MAX_WEIGHT:
+        raise ValueError(f"the word index stops at weight {words.MAX_WEIGHT}")
     entries = []
     failures = []
     checked = 0
     skipped = 0
-    j = 1
-    while True:
-        w = nth_word(j)
-        if weight(w) > max_weight:
-            break
-        if not reduce_word(w):
-            skipped += 1
-            entries.append(ScanEntry(j, w, False, None, None))
-        else:
-            cert = witness_conjugator(w)
-            checked += 1
-            member = in_k(w)
-            entries.append(ScanEntry(j, w, True, member, cert.verdict))
-            if not cert.verdict:
-                failures.append((j, format_word(w)))
-        j += 1
+    j = 0
+    for wt in range(2, max_weight + 1):
+        for w in words_of_weight(wt):
+            j += 1
+            if not reduce_word(w):
+                skipped += 1
+                entries.append(ScanEntry(j, w, False, None, None))
+            else:
+                cert = witness_conjugator(w)
+                checked += 1
+                member = in_k(w)
+                entries.append(ScanEntry(j, w, True, member, cert.verdict))
+                if not cert.verdict:
+                    failures.append((j, format_word(w)))
     return ScanReport(max_weight, tuple(entries), checked, skipped, tuple(failures))

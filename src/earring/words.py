@@ -11,18 +11,21 @@ under a_1 < a_1^{-1} < a_2 < a_2^{-1} < ...  Anchor words are the
 alternating a_1 a_2 a_1 a_2 ... prefixes of prescribed length used to
 graft each enumerated word onto the zig-zag ray.
 
-The index arithmetic is closed-form: `nth_word` unranks j inside its
+Random access is closed-form: `nth_word` unranks j inside its
 (length, max index) class, `index_of` ranks a word, `word_length`,
 `cumulative_length` and `anchor_length` sum over classes, and
-`anchor_index` inverts `anchor_length`.  No word is enumerated or
-stored; the only table holds one entry per class, about w^2/2 entries
-for the words of weight up to w, and it stops at weight MAX_WEIGHT = 384:
-`index_of` refuses a word of greater weight, and `nth_word` an index past
-the words of weight 384 (about 1.7 * 10^675 of them), with ValueError.
+`anchor_index` inverts `anchor_length`.  No word is stored; the only
+table holds one entry per class, about w^2/2 entries for the words of
+weight up to w, and it stops at weight MAX_WEIGHT = 384: `index_of`
+refuses a word of greater weight, and `nth_word` an index past the words
+of weight 384 (about 1.7 * 10^675 of them), with ValueError.  A sweep
+walks one weight at a time through `words_of_weight`, which spells the
+words of a weight in enumeration order, the twin of `nth_word`.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from bisect import bisect_right
 
@@ -210,6 +213,19 @@ def index_of(w: Word) -> int:
     for x in letters:
         horner = horner * size + (2 * x - 2 if x > 0 else -2 * x - 1)
     return _firsts[k] + horner - (p + 1) * low ** (length - h) + 1
+
+
+def words_of_weight(wt):
+    """The words of weight wt in enumeration order: nth_word(j) for the j
+    of those words, spelled one after another without unranking any."""
+    for length in range(1, wt):
+        m = wt - length
+        # a_1 < a_1^{-1} < a_2 < ... < a_m^{-1}; the class is the words
+        # that use a_m or its inverse
+        letters = sum(zip(range(1, m + 1), range(-1, -m - 1, -1)), ())
+        for w in itertools.product(letters, repeat=length):
+            if m in w or -m in w:
+                yield w
 
 
 def word_length(j: int) -> int:

@@ -424,6 +424,7 @@ class TestOneRefusalPath:
          "the lift of beta w beta^-1 has 1554249877 steps; a trace holds at most 4194304",
          None),
         (["scan", "--max-weight", "1"], None, "max_weight must be >= 2", None),
+        (["scan", "--max-weight", "400"], None, "the word index stops at weight 384", None),
         (["charts", "x:1"], None, "point spec must be v:<word> or e:<word>:<label>:<t>", None),
         (["q-point", "e:e:x:0.5"], None, "edge label must be an integer, not 'x'", None),
         (["q-point", "e:e:3:x"], None, "edge parameter t must be a number, not 'x'", None),

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from earring import corefree, words
 from earring.caching import reset_caches
 from earring.corefree import core_free_scan, midpoint_structure_check, witness_conjugator
 from earring.graph import base_vertex, island_data
@@ -198,6 +199,48 @@ class TestScan:
         report = core_free_scan(4)
         assert report.checked == 26 and report.skipped == 4
         assert all(e.verdict is True for e in report.entries if e.essential)
+
+    def test_an_unreachable_weight_is_refused_at_once(self):
+        t0 = time.process_time()
+        with pytest.raises(ValueError, match="^the word index stops at weight 384$"):
+            core_free_scan(words.MAX_WEIGHT + 16)
+        assert time.process_time() - t0 < 1.0
+
+    def test_the_weight_is_an_index(self):
+        with pytest.raises(TypeError):
+            core_free_scan(5.0)
+        # True is the weight 1
+        with pytest.raises(ValueError, match="^max_weight must be >= 2$"):
+            core_free_scan(True)
+
+    def test_benchmark_contract(self, monkeypatch):
+        # the scan certifies each essential word through the module's
+        # witness_conjugator, in index order, and each certificate lifts its
+        # word once through the module's lift_word; perfbench reads both
+        calls = []
+        conjugate, lift = corefree.witness_conjugator, corefree.lift_word
+
+        def counted_conjugate(w):
+            calls.append([w, 0])
+            cert = conjugate(w)
+            calls[-1].append(cert.j)
+            return cert
+
+        def counted_lift(*args, **kwargs):
+            calls[-1][1] += 1
+            return lift(*args, **kwargs)
+
+        monkeypatch.setattr(corefree, "witness_conjugator", counted_conjugate)
+        monkeypatch.setattr(corefree, "lift_word", counted_lift)
+        report = core_free_scan(5)
+        assert len(calls) == report.checked == 112
+        assert all(lifts == 1 for _, lifts, _ in calls)
+        js = [j for _, _, j in calls]
+        assert js == sorted(set(js))
+        assert [(w, j) for w, _, j in calls] == [(e.word, e.j) for e in report.entries
+                                                 if e.essential]
+        assert [e.j for e in report.entries] == list(range(1, len(report.entries) + 1))
+        assert all(e.word == nth_word(e.j) for e in report.entries)
 
 
 def _twin(w, j):

@@ -27,6 +27,7 @@ from earring.words import (
     reduce_word,
     weight,
     word_length,
+    words_of_weight,
 )
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
@@ -145,6 +146,23 @@ def reference_words():
                 if max(digits) >= 2 * m - 2:
                     yield tuple(d // 2 + 1 if d % 2 == 0 else -(d // 2 + 1) for d in digits)
         wt += 1
+
+
+class TestWordsOfWeight:
+    """The sweep generator against the spelled-out definition and the
+    random-access twins, word for word."""
+
+    def test_matches_reference_and_index_arithmetic(self):
+        reference = reference_words()
+        j = 0
+        for wt in range(2, 10):
+            for w in words_of_weight(wt):
+                j += 1
+                assert w == next(reference), (wt, j)
+                assert nth_word(j) == w and index_of(w) == j, (wt, j)
+            # the weight ends where the index arithmetic says it does
+            assert weight(nth_word(j + 1)) == wt + 1, wt
+        assert j == 108_004
 
 
 FAR = [10**12, 41_501_135, 4 * 10**39]
