@@ -5,7 +5,9 @@ inverses whose round trips certify the local-homeomorphism structure.
 Points downstairs are held symbolically as (circle index, parameter t)
 with t in (0, 1); t in {0, 1} is identified with the origin.  The planar
 embedding is used only for display.  Points, edges, charts and the audit
-report are named tuples: they compare by value and are immutable.
+report are named tuples: they compare by value and are immutable.  An
+edge is (base, label), and its kind is read from the base's tree labels;
+a chart is its edge or its owner vertex, and its tag says which is set.
 """
 
 from __future__ import annotations
@@ -61,51 +63,47 @@ _LABEL = "edge label must be a positive index"
 class _EdgeFields(NamedTuple):
     base: Vertex
     label: int
-    kind: str    # 'tree' or 'loop'
 
 
 class Edge(_EdgeFields):
-    """A directed edge upstairs, identified by its initial vertex and
-    positive label; tree edges run to the reduced product, loops stay.
-    A named tuple that checks on construction that its kind is the one
-    the label forms at the base vertex."""
+    """A directed edge upstairs, as the named tuple (base, label): its
+    initial vertex and positive label.  Its kind is read from the base's
+    tree labels: a tree edge runs to the reduced product, a loop stays.
+    The label is checked on construction, so no float or bool label can
+    step."""
 
     __slots__ = ()
 
-    def __new__(cls, base: Vertex, label: int, kind: str):
+    def __new__(cls, base: Vertex, label: int):
         check_index(label, _LABEL)
-        expected = "tree" if label in base.e_set else "loop"
-        if kind != expected:
-            raise ValueError(
-                f"label {label} at this vertex forms a {expected} edge, not {kind}"
-            )
-        return tuple.__new__(cls, (base, label, kind))
+        return tuple.__new__(cls, (base, label))
 
     @classmethod
     def _make(cls, iterable):
-        # _replace builds through _make: check its fields too
+        # _replace builds through _make: check its label too
         return cls(*iterable)
 
     @property
+    def kind(self) -> str:
+        """'tree' if the label is a tree label at the base, else 'loop'."""
+        return "tree" if self.label in self.base.e_set else "loop"
+
+    @property
     def terminal(self) -> Vertex:
-        if self.kind == "loop":
-            return self.base
         return self.base.step(self.label)[1]
 
 
 def edge_at(v: Vertex, label: int) -> Edge:
     """The edge labeled a_label emanating from v."""
-    kind = "tree" if label in v.e_set else "loop"
-    return Edge(v, label, kind)
+    return Edge(v, label)
 
 
 def edge_into(v: Vertex, label: int) -> Edge:
     """The edge labeled a_label terminating in v."""
     check_index(label, _LABEL)
     if label in v.e_set:
-        u = v.step(-label)[1]
-        return Edge(u, label, "tree")
-    return Edge(v, label, "loop")
+        return Edge(v.step(-label)[1], label)
+    return Edge(v, label)
 
 
 class PointHat(NamedTuple):
@@ -138,29 +136,33 @@ def vertex_chart_level(v: Vertex) -> int:
 
 
 class ChartId(NamedTuple):
-    """An atlas chart, as the named tuple (tag, edge, owner): either the
-    chart of one edge (range: one arc of one circle) or the chart of one
-    vertex (range: the small circles and both end-arcs of the large
-    ones)."""
+    """An atlas chart, as the named tuple (edge, owner): the chart of one
+    edge (range: one arc of one circle) or the chart of one vertex
+    (range: the small circles and both end-arcs of the large ones).  It
+    is identified by its edge or its owner, whichever is set."""
 
-    tag: str                       # 'edge' or 'vertex'
     edge: Optional[Edge] = None
     owner: Optional[Vertex] = None
 
     @property
+    def tag(self) -> str:
+        """'edge' for the chart of an edge, 'vertex' for that of a vertex."""
+        return "edge" if self.edge is not None else "vertex"
+
+    @property
     def level(self) -> Optional[int]:
         """For a vertex chart, the n with range U_{n+1}^inf."""
-        if self.tag != "vertex":
+        if self.edge is not None:
             return None
         return vertex_chart_level(self.owner)
 
 
 def edge_chart(e: Edge) -> ChartId:
-    return ChartId("edge", edge=e)
+    return ChartId(edge=e)
 
 
 def vertex_chart(v: Vertex) -> ChartId:
-    return ChartId("vertex", owner=v)
+    return ChartId(owner=v)
 
 
 def q_point(p: PointHat) -> PointH:
@@ -184,8 +186,9 @@ def charts_containing(p: PointHat) -> list:
         vertex_owners.append(e.base)
     if t > 0.625:
         vertex_owners.append(e.terminal)
-    if e.kind == "loop" and e.label > vertex_chart_level(e.base):
-        # the entire loop lies in its vertex's chart
+    if e.label > vertex_chart_level(e.base):
+        # a label above every tree label at the base forms a loop, and the
+        # entire loop lies in its vertex's chart
         vertex_owners.append(e.base)
     charts.extend(map(vertex_chart, dict.fromkeys(vertex_owners)))
     return charts
@@ -207,7 +210,7 @@ def in_wedge_chart(x: PointH, n: int) -> bool:
 
 
 def chart_range_contains(c: ChartId, x: PointH) -> bool:
-    if c.tag == "edge":
+    if c.edge is not None:
         return in_circle_chart(x, c.edge.label)
     return in_wedge_chart(x, c.level)
 
@@ -217,7 +220,7 @@ def local_inverse(c: ChartId, x: PointH) -> PointHat:
     the chart's range."""
     if not chart_range_contains(c, x):
         raise ValueError("point lies outside the range of the chart")
-    if c.tag == "edge":
+    if c.edge is not None:
         return PointHat.on_edge(c.edge, x.t)
     v = c.owner
     if x.is_origin:

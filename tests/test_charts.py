@@ -3,6 +3,7 @@ import math
 import pytest
 
 from earring.charts import (
+    ChartId,
     Edge,
     PointH,
     PointHat,
@@ -82,9 +83,60 @@ class TestEdges:
         assert e.base is base_vertex()
         assert e.terminal is v
 
-    def test_kind_mismatch_rejected(self):
+
+def _ball(center: Vertex, radius: int) -> list:
+    """Every vertex within `radius` tree steps of center, each once."""
+    ball = {center: None}
+    frontier = [center]
+    for _ in range(radius):
+        nxt = []
+        for v in frontier:
+            for s in v.e_set:
+                for x in (s, -s):
+                    u = v.step(x)[1]
+                    if u not in ball:
+                        ball[u] = None
+                        nxt.append(u)
+        frontier = nxt
+    return list(ball)
+
+
+class TestDerivedKindAndTag:
+    """An edge is (base, label) and a chart is (edge, owner): the edge's
+    kind and the chart's tag are read, never stored."""
+
+    def test_fields(self):
+        assert Edge._fields == ("base", "label")
+        assert ChartId._fields == ("edge", "owner")
+
+    def test_kind_and_terminal_are_the_step(self):
+        reset_caches()
+        centers = [base_vertex()] + [Vertex.make(anchor(j)) for j in range(1, 11)]
+        vertices = dict.fromkeys(v for c in centers for v in _ball(c, 3))
+        assert len(vertices) > 600
+        for v in vertices:
+            for s in range(1, max(v.e_set) + 4):
+                e = edge_at(v, s)
+                kind, terminal = v.step(s)
+                assert e.kind == kind, (v, s)
+                assert e.terminal is terminal, (v, s)
+                assert edge_into(v, s).terminal is v, (v, s)
+
+    @pytest.mark.parametrize("label", [1.0, True], ids=["float", "bool"])
+    def test_a_bad_label_is_refused_before_the_base_is_classified(self, label):
+        reset_caches()
+        v = ray_vertex(7)
+        assert v._e_set is None
         with pytest.raises(ValueError):
-            Edge(base_vertex(), 3, "tree")
+            edge_at(v, label)
+        assert v._e_set is None
+
+    def test_tags(self):
+        v = Vertex.make((1, 2, -1))
+        assert edge_chart(edge_at(v, 3)).tag == "edge"
+        assert vertex_chart(v).tag == "vertex"
+        assert edge_chart(edge_at(v, 3)).level is None
+        assert vertex_chart(v).level == vertex_chart_level(v)
 
 
 def _trie_vertices():
@@ -115,8 +167,8 @@ class TestIndicesAreLetters:
     BAD = {
         "edge_at-float": lambda: edge_at(ray_vertex(3), 1.0).terminal,
         "edge_into-float": lambda: edge_into(Vertex.make((1,)), 2.0),
-        "Edge-float": lambda: Edge(base_vertex(), 1.5, "loop"),
-        "Edge-bool": lambda: Edge(Vertex.make((1,)), True, "tree"),
+        "Edge-float": lambda: Edge(base_vertex(), 1.5),
+        "Edge-bool": lambda: Edge(Vertex.make((1,)), True),
         "on_circle-float": lambda: PointH.on_circle(2.5, 0.5),
         "l_point-float": lambda: l_point(2.5, 0.5),
         "in_line-float": lambda: in_line((1, 2), (1, 2), 2.5),

@@ -22,7 +22,8 @@ from earring.graph import (
     survives,
 )
 from earring.lifting import RayPrefix
-from earring.words import anchor, anchor_length, invert, nth_word, reduce_word, zigzag_prefix
+from earring.words import (anchor, anchor_length, invert, nth_word, reduce_word, words_of_weight,
+                           zigzag_prefix)
 
 
 class TestIslandData:
@@ -693,3 +694,48 @@ class TestDefinitionalMembership:
         assert not disagreements, (len(disagreements), disagreements[:3])
         assert len(words) == 7_078
         assert kinds == {"Z": 80, "L": 456, None: 6_542}
+
+
+def _reduced_edge_path(n, wj):
+    """The free reductions of R[:n] . w_j[:i], i = 0..|w_j|, R the zig-zag
+    ray and n = anchor_length(j), each as (ray-prefix length p, tail):
+    the reduced word is R[:p] followed by the tail, whose first letter is
+    not R's letter p.  The anchor is never spelled."""
+    p, tail = n, []
+    out = [(p, ())]
+    for x in wj:
+        if tail:
+            if x == -tail[-1]:
+                tail.pop()
+            else:
+                tail.append(x)
+        elif p and x == -(1 if p % 2 else 2):
+            p -= 1          # cancels R's letter p - 1
+        elif x == (2 if p % 2 else 1):
+            p += 1          # is R's letter p
+        else:
+            tail.append(x)
+        out.append((p, tuple(tail)))
+    return out
+
+
+class TestEdgePathTwin:
+    """Every edge-path vertex island_data(j).path[i] of every j of weight
+    <= 8 against the free reduction of anchor(j) . w_j[:i], computed from
+    the words layer alone by `_reduced_edge_path`."""
+
+    def test_weight_8(self):
+        reset_caches()
+        t0 = time.process_time()
+        j = 0
+        for wt in range(2, 9):
+            for wj in words_of_weight(wt):
+                j += 1
+                twin = _reduced_edge_path(anchor_length(j), wj)
+                path = island_data(j).path
+                assert len(path) == len(twin), j
+                for i, (z, (p, tail)) in enumerate(zip(path, twin)):
+                    assert (z.depth, z.ray_len, z.tail) == (p + len(tail), p, tail), (j, i)
+        assert j == 17_254
+        reset_caches()
+        assert time.process_time() - t0 < 2.0

@@ -111,5 +111,7 @@ def test_fields_cannot_be_set():
 def test_replace_checks_an_edge():
     e = edge_at(base_vertex(), 3)
     assert e._replace(label=4) == edge_at(base_vertex(), 4)
-    with pytest.raises(ValueError):
-        e._replace(kind="tree")
+    # the label of a replaced edge is checked as a new edge's is
+    for label in (0, 1.5, True):
+        with pytest.raises(ValueError):
+            e._replace(label=label)
