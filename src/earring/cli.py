@@ -319,16 +319,16 @@ def _atlas_check(args):
 
 def main(argv: list | None = None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
-    except _Usage as exc:
-        name, message = exc.args
-        if message is None:
-            print(_help(name))
-            return 0
-        print(_usage(name), f"earring{'' if name is None else ' ' + name}: error: {message}",
-              sep="\n", file=sys.stderr)
-        return 1
-    try:
+        try:
+            args = _parse(sys.argv[1:] if argv is None else argv)
+        except _Usage as exc:
+            name, message = exc.args
+            if message is None:
+                print(_help(name), flush=True)
+                return 0
+            print(_usage(name), f"earring{'' if name is None else ' ' + name}: error: {message}",
+                  sep="\n", file=sys.stderr)
+            return 1
         try:
             if hasattr(args, "word"):
                 # a refusal names the word as given until it is read

@@ -69,7 +69,7 @@ class IslandData(_IslandFields):
     """Everything attached to enumeration index j: the word, the length
     of its anchor, the level n_j, and the anchored edge-path vertices,
     which are trie vertices; `records` holds each once, in walk order.  A
-    named tuple of its fields; `z_path` and `z_set` spell the vertices on
+    named tuple of its fields; `z_set` spells the words of `records` on
     first read, and `bases` strips each vertex of its final run on the
     first line test.  The data hangs on its anchor vertex as that vertex's
     island hit, and every vertex's hit holds its island's data, so it lives
@@ -88,13 +88,8 @@ class IslandData(_IslandFields):
                      for z in self.records)
 
     @cached_property
-    def z_path(self) -> tuple:
-        spelled = {z: z.word for z in self.records}
-        return tuple(spelled[z] for z in self.path)
-
-    @cached_property
     def z_set(self) -> frozenset:
-        return frozenset(self.z_path)
+        return frozenset(z.word for z in self.records)
 
 
 def _base(v: "Vertex") -> "Vertex":

@@ -10,13 +10,14 @@ a_2^{+-1} is plain free reduction; only a step by a higher letter makes
 the current vertex locate its island, once.  The same fact lets a run of
 the zig-zag ray, or of its inverse, be lifted as one segment: see
 `lift_ray_inverse`.  `RayPrefix` is such a ray prefix, kept as its length.
+A `LiftTrace` keeps only its start, word and endpoint: its per-letter
+steps are replayed from the start on each read.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .graph import Vertex, base_vertex, ray_vertex
@@ -36,18 +37,16 @@ def _fold(w: Word, cur: Vertex) -> Vertex:
     return cur
 
 
-class _TraceFields(NamedTuple):
+class LiftTrace(NamedTuple):
+    """The lift of `word` from `start`, a named tuple of start, word and
+    endpoint.  `steps` replays the lift with the same step rule on each
+    read; nothing of it is kept."""
+
     start: Vertex
     word: Word
     endpoint: Vertex
 
-
-class LiftTrace(_TraceFields):
-    """The lift of `word` from `start`, a named tuple of start, word and
-    endpoint.  The per-letter steps are made only when `steps` is read,
-    by replaying the lift with the same step rule."""
-
-    @cached_property
+    @property
     def steps(self) -> tuple:
         """One LiftStep per letter of the word."""
         out = []

@@ -162,8 +162,8 @@ def criterion_5():
                     w = reduce_word(v + (letter,))
                     if island_of(w) != j:
                         closure_failures += 1
-        for z in island_data(j).z_path:
-            if not survives(z):
+        for z in island_data(j).path:
+            if not survives(z.word):
                 zpath_failures += 1
     return {
         "islands": 50,

@@ -834,6 +834,21 @@ class TestClosedStdout:
         assert err == b""
         assert head.startswith(b'{"command": "witness"' if json_flag else b"witness -2 -1 -2:")
 
+    @pytest.mark.parametrize("argv", [["--help"], ["witness", "--help"], ["--json", "--help"]])
+    def test_help_to_a_closed_pipe(self, argv):
+        # the read end is closed before the help is written, so its first
+        # write fails
+        read, write = os.pipe()
+        os.close(read)
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "earring.cli", *argv], env=env,
+                                  stdout=write, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
 
 def run_python(code: str, *argv) -> str:
     """The stdout of `python -c code argv...` in a fresh interpreter that

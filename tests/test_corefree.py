@@ -144,7 +144,7 @@ class TestMidpointStructure:
 
     def test_records_agree_with_spelled_words(self):
         # the midpoint twin: each record's agree against the spelled
-        # comparison of the vertex's word with the island's z_path
+        # comparison of the vertex's word with the words of the island's path
         checked = 0
         j = 1
         while weight(nth_word(j)) <= 6:
@@ -158,7 +158,7 @@ class TestMidpointStructure:
             prev = cert.midpoint.word
             for i, (letter, kind, at, agree) in enumerate(report.records):
                 if abs(letter) <= data.level:
-                    spelled = kind == "tree" and at.word == data.z_path[i + 1]
+                    spelled = kind == "tree" and at.word == data.path[i + 1].word
                 else:
                     spelled = kind == "loop" and at.word == prev
                 assert agree == spelled, (w, i)

@@ -30,24 +30,24 @@ class TestIslandData:
     def test_zpath_of_first_island(self):
         d = island_data(1)
         assert d.word == (1,)
-        assert d.z_path == ((1, 2, 1, 2), (1, 2, 1, 2, 1))
+        assert tuple(z.word for z in d.path) == ((1, 2, 1, 2), (1, 2, 1, 2, 1))
 
     def test_zpath_cancellation(self):
         d = island_data(2)
         assert d.word == (-1,)
-        assert d.z_path[1] == (1, 2, 1, 2, 1, 2, 1, 2)
+        assert d.path[1].word == (1, 2, 1, 2, 1, 2, 1, 2)
 
     def test_zpath_starts_at_anchor(self):
         for j in (1, 7, 23, 60):
             d = island_data(j)
-            assert d.z_path[0] == anchor(j)
-            assert len(d.z_path) == len(d.word) + 1
+            assert d.path[0].word == anchor(j)
+            assert len(d.path) == len(d.word) + 1
 
     def test_consecutive_zpath_entries_adjacent(self):
         for j in (1, 5, 9, 31):
             d = island_data(j)
-            for a, b in zip(d.z_path, d.z_path[1:]):
-                assert abs(len(a) - len(b)) == 1
+            for a, b in zip(d.path, d.path[1:]):
+                assert abs(len(a.word) - len(b.word)) == 1
 
     def test_level(self):
         assert island_data(1).level == 2
@@ -459,8 +459,8 @@ class TestIslandInvariants:
 
     def test_zpath_in_pruned_tree(self):
         for j in range(1, 41):
-            for z in island_data(j).z_path:
-                assert survives(z)
+            for z in island_data(j).path:
+                assert survives(z.word)
 
 
 def _near_islands(jmax, radius):

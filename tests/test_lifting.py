@@ -58,6 +58,14 @@ class TestLiftWord:
         with pytest.raises(ValueError):
             lift_word((0,))
 
+    def test_each_step_is_at_the_vertex_after_it(self):
+        v = Vertex.make(anchor(9))
+        for w in [(1,), (3, 2, -3), (1, 2, 3, -1, 5), (-1, 3, 3, -2)]:
+            for start in (base_vertex(), v):
+                trace = lift_word(w, start=start)
+                assert [s.at for s in trace.steps] == [endpoint(w[:i + 1], start)
+                                                       for i in range(len(w))]
+
 
 class TestIslandLine:
     def test_long_power_along_a_line_is_linear(self):

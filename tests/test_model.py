@@ -12,7 +12,13 @@ After each rule it checks the contract stated in `earring.caching`:
 - only a vertex from before a reset may raise on a step, and then with
   the staleness message;
 - a word with a bool, float or IntEnum letter is refused with the same
-  message by every word query, whatever the word index holds.
+  message by every word query, whatever the word index holds;
+- `survives` and `e_set` give the same answers for every held word, and
+  every word the model asked about, with the word index emptied and
+  capped at 0;
+- a held vertex of the current trie lies on the island, or on none, that
+  `_definitional_island` of tests/test_graph.py finds from the
+  definitions alone.
 
 Tier-1 runs a fixed, derandomized set of examples.  A longer run:
 
@@ -30,6 +36,7 @@ from earring import caching, graph
 from earring.caching import reset_caches
 from earring.graph import Vertex, e_set, island_of, ray_vertex, survives
 from earring.words import anchor, anchor_length, reduce_word, zigzag_prefix
+from test_graph import _definitional_island
 
 ANCHORS = (1, 2, 9, 31, 40)
 LIMITS = (None, 0, 256, 4096)
@@ -51,6 +58,22 @@ def _bad_variants(x: int) -> list:
     return out
 
 
+# _definitional_island of each word asked, since a word's island is fixed
+_ISLANDS: dict = {}
+
+
+def _island(w):
+    if w not in _ISLANDS:
+        _ISLANDS[w] = _definitional_island(w)
+    return _ISLANDS[w]
+
+
+def _answers(w):
+    """(survives(w), e_set(w)), with None for the e_set of a pruned word."""
+    alive = survives(w)
+    return alive, e_set(w) if alive else None
+
+
 class TrieModel(RuleBasedStateMachine):
     """Held vertices, each with the word it was made for and the number of
     the trie (counted in resets) it was made in."""
@@ -60,6 +83,11 @@ class TrieModel(RuleBasedStateMachine):
         reset_caches()
         self.trie = 0
         self.held = []
+        self.asked = []
+
+    def _ask(self, w):
+        self.asked.append(w)
+        del self.asked[:-MAX_HELD]
 
     def _hold(self, v, w):
         self.held.append((v, w, self.trie))
@@ -69,6 +97,7 @@ class TrieModel(RuleBasedStateMachine):
           tail=st.lists(letters, max_size=4))
     def make(self, j, shift, tail):
         w = reduce_word(zigzag_prefix(anchor_length(j) + shift) + tuple(tail))
+        self._ask(w)
         if survives(w):
             v = Vertex.make(w)
             assert v.word == w
@@ -80,6 +109,7 @@ class TrieModel(RuleBasedStateMachine):
     @rule(pick=st.integers(0, MAX_HELD - 1), x=letters)
     def step(self, pick, x):
         v, w, trie = self.held[pick % len(self.held)]
+        self._ask(reduce_word(w + (x,)))
         try:
             kind, u = v.step(x)
         except ValueError as exc:
@@ -139,6 +169,23 @@ class TrieModel(RuleBasedStateMachine):
             assert all(type(x) is int for x in got), got
             if trie == self.trie:
                 assert Vertex.make(w) is v, w
+
+    @invariant()
+    def answers_ignore_the_index_and_match_the_definitions(self):
+        words = [w for _, w, _ in self.held] + self.asked
+        expected = [_answers(w) for w in words]
+        # a cap of 0 stores nothing, but an entry stored before still
+        # answers, so the queries run against an empty index
+        saved = caching._limit, graph._index, graph._index_bytes
+        caching._limit, graph._index, graph._index_bytes = 0, {}, 0
+        try:
+            assert [_answers(w) for w in words] == expected
+        finally:
+            caching._limit, graph._index, graph._index_bytes = saved
+        for v, w, trie in self.held:
+            if trie == self.trie:
+                hit = v.hit
+                assert ((hit.j, hit.kind) if hit is not None else None) == _island(w), w
 
     def teardown(self):
         caching._limit = None
