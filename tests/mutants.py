@@ -1,7 +1,7 @@
 """Committed mutants: each claim that a test "fails on a broken copy" is
 one entry here, and one command checks them all.
 
-    python tests/mutants.py [--list] [--timeout S] [NAME ...]
+    python tests/mutants.py [NAME ...]
 
 Each entry of MUTANTS names a file of `src/earring`, one or more exact
 edits of it (old text, new text), the test selection expected to kill
@@ -13,15 +13,16 @@ For each mutant, one at a time, the script copies `src/`, `tests/`,
 (`tests/test_words.py` loads `perfbench/reference.py`, and
 `tests/test_same_answers.py` runs the scripts in `demos/`), applies the
 edits to the copy, each of whose old texts must occur there exactly
-once, and runs the selection with `pytest -x` under a timeout.  A run
-that fails a test, or runs out of time, kills the mutant; a run that
-passes lets it survive.  First the union of the selections runs on an
-unedited copy, which must pass.
+once, and runs the selection with `pytest -x` under a timeout of
+TIMEOUT seconds.  A run that fails a test, or runs out of time, kills
+the mutant; a run that passes lets it survive.  First the union of the
+selections runs on an unedited copy, which must pass.
 
 It prints one line per mutant, and exits 1 when the unedited copy fails,
 an edit does not apply, a selection does not run (a pytest exit code
 other than 0 or 1), a mutant that must be killed survives, or an
-equivalent one is killed.  NAME arguments run only those mutants.
+equivalent one is killed.  NAME arguments run only those mutants, so a
+change that adds a mutant can run it alone; an unknown NAME exits 2.
 Standard library only, apart from the pytest that runs the selections;
 pytest does not collect this file, since its name does not start with
 `test`.
@@ -29,7 +30,6 @@ pytest does not collect this file, since its name does not start with
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -43,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "demos", "pyproject.toml")
 
 KILL = "must be killed"
+TIMEOUT = 120.0      # seconds allowed to one selection
 
 
 class Mutant(NamedTuple):
@@ -257,28 +258,20 @@ def run_tests(tree: Path, tests, timeout: float):
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("names", nargs="*", help="run only these mutants")
-    p.add_argument("--list", action="store_true", help="list the mutants and exit")
-    p.add_argument("--timeout", type=float, default=120.0,
-                   help="seconds allowed to one selection (default 120)")
-    args = p.parse_args(argv)
+    wanted = sys.argv[1:] if argv is None else argv
     names = [m.name for m in MUTANTS]
     assert len(set(names)) == len(names), "mutant names must be unique"
-    if args.list:
-        for m in MUTANTS:
-            print(f"{m.name:40} {m.file:12} {' '.join(m.tests)}")
-        return 0
-    unknown = set(args.names) - set(names)
+    unknown = set(wanted) - set(names)
     if unknown:
-        p.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not wanted or m.name in wanted]
     bad = 0
     started = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="mutants_") as tmp:
         tree = make_copy(Path(tmp))
         selections = list(dict.fromkeys(t for m in chosen for t in m.tests))
-        code, secs, failed = run_tests(tree, selections, args.timeout * len(chosen))
+        code, secs, failed = run_tests(tree, selections, TIMEOUT * len(chosen))
         print(f"{'unedited copy':40} {'passes' if code == 0 else 'FAILS':10} {secs:6.1f} s"
               f"  {failed}")
         if code != 0:
@@ -292,7 +285,7 @@ def main(argv=None) -> int:
                 print(f"{m.name:40} {'NO EDIT':10} {exc}")
                 bad += 1
                 continue
-            code, secs, failed = run_tests(tree, m.tests, args.timeout)
+            code, secs, failed = run_tests(tree, m.tests, TIMEOUT)
             if code not in (0, 1, None):
                 outcome, ok = f"ERROR {code}", False
             else:

@@ -25,6 +25,7 @@ Tier-1 runs a fixed, derandomized set of examples.  A longer run:
     PYTHONPATH=src:tests python -c "from test_model import run; run(1000)"
 """
 
+import functools
 import gc
 from enum import IntEnum
 
@@ -58,14 +59,8 @@ def _bad_variants(x: int) -> list:
     return out
 
 
-# _definitional_island of each word asked, since a word's island is fixed
-_ISLANDS: dict = {}
-
-
-def _island(w):
-    if w not in _ISLANDS:
-        _ISLANDS[w] = _definitional_island(w)
-    return _ISLANDS[w]
+# a word's island is fixed, and the invariant asks each held word after every step
+_island = functools.cache(_definitional_island)
 
 
 def _answers(w):

@@ -83,11 +83,14 @@ def test_lazy_attributes_are_made_once():
     assert "trace" not in vars(cert) and "conjugate_endpoint" not in vars(cert)
     assert cert.trace is cert.trace
     assert cert.conjugate_endpoint is cert.conjugate_endpoint
+    data = island_data(9)
+    assert data.z_set is data.z_set
+
+
+def test_trace_keeps_no_steps():
     trace = lift_word((1, 2, 3, -1))
     assert not hasattr(trace, "__dict__")
     assert trace.steps == trace.steps
-    data = island_data(9)
-    assert data.z_set is data.z_set
 
 
 def test_keywords_defaults_and_positions():
