@@ -92,7 +92,7 @@ MUTANTS = [
     _one("z-set-without-the-anchor", "graph.py",
          "        return frozenset(z.word for z in self.records)\n",
          "        return frozenset(z.word for z in self.records[1:])\n",
-         "tests/test_graph.py::TestCrossCheck"),
+         "tests/test_graph.py::TestEdgePathTwin::test_z_set_weight_6"),
     # --- graph: the word index and the trie ----------------------------------
     _one("lookup-without-the-type-pass", "graph.py",
          "    if operator.countOf(map(type, v), int) != len(v):\n        check_word(v)\n",
@@ -176,6 +176,26 @@ MUTANTS = [
          "    c = min(next(compress(count(), map(operator.ne, u, v)), min(len(u), len(v))),\n"
          "            ray_agreement(u))\n",
          "tests/test_graph.py::TestDefinitionalLayer"),
+    _one("edge-path-ray-parity", "checks.py",
+         "        elif x == _ray_letter(p):\n",
+         "        elif x == _ray_letter(p + 1):\n",
+         "tests/test_graph.py::TestEdgePathTwin"),
+    _one("edge-path-reads-island-data", "checks.py",
+         "        raise ValueError(\"island index must be >= 1\")\n    wj = nth_word(j)\n",
+         "        raise ValueError(\"island index must be >= 1\")\n"
+         "    from .graph import island_data\n"
+         "    data = island_data(j)\n"
+         "    return tuple((z.ray_len, z.tail) for z in data.path), data.level\n"
+         "    wj = nth_word(j)\n",
+         "tests/test_graph.py::TestDefinitionalLayer"),
+    _one("formula-accepts-unreduced", "checks.py",
+         "    if not is_reduced(v):\n        raise ValueError(\"expected a reduced word\")\n",
+         "",
+         "tests/test_graph.py::TestCrossCheck::test_unreduced_word_is_refused"),
+    _one("bfs-bound-ignored", "checks.py",
+         "    if bound > MAX_CROSSCHECK_WORDS:\n",
+         "    if False:\n",
+         "tests/test_cli.py::TestCrosscheck::test_large_ball_is_refused"),
     # --- lifting and witnesses ------------------------------------------------
     _one("ray-inverse-parity-flipped", "lifting.py",
          "(v.depth - m) % 2 == 0",

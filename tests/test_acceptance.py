@@ -14,7 +14,7 @@ import pytest
 
 from earring.caching import reset_caches
 from earring.charts import atlas_check
-from earring.checks import removal_cross_check
+from earring.checks import island_sample, removal_cross_check
 from earring.corefree import core_free_scan
 from earring.graph import (
     Vertex,
@@ -130,17 +130,6 @@ def criterion_4():
     return {"disagreements": disagreements, "per_island": tuple(per_island)}
 
 
-def _island_sample(j, extent):
-    data = island_data(j)
-    out = set(data.z_set)
-    for z in data.z_set:
-        for s in range(1, data.level + 1):
-            for r in range(1, extent + 1):
-                out.add(reduce_word(z + (s,) * r))
-                out.add(reduce_word(z + (-s,) * r))
-    return out
-
-
 def criterion_5():
     """Island disjointness, one-step closure under high labels, and
     survival of the anchored edge-paths, for all islands j <= 50."""
@@ -149,7 +138,7 @@ def criterion_5():
     closure_failures = 0
     zpath_failures = 0
     for j in range(1, 51):
-        for v in _island_sample(j, extent=4):
+        for v in island_sample(j, 4):
             prev = owners.setdefault(v, j)
             if prev != j:
                 disjoint_failures += 1

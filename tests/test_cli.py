@@ -146,6 +146,33 @@ class TestCrosscheck:
             assert (out.stdout, out.stderr) == ("", f"crosscheck: error: {message}\n")
 
 
+    @pytest.mark.parametrize("json_flag", [False, True])
+    @pytest.mark.parametrize("radius, words", [("5", 4251528), ("7", 440033148)])
+    def test_large_ball_is_refused(self, json_flag, radius, words):
+        # the search near island 9 at radius 5 would examine about 4.2 M
+        # words; it is refused before it starts.  Under 1 GiB of address
+        # space and 10 s of CPU, a search that ran would fail otherwise
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "resource.setrlimit(resource.RLIMIT_CPU, (10, 10)); "
+                "from earring.cli import main; sys.exit(main(sys.argv[1:]))")
+        argv = ["--json"] * json_flag + ["crosscheck", "9", radius]
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True, env=env, timeout=60)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        message = (f"the cross-check of island 9 at radius {radius} would examine up to "
+                   f"{words} words, more than 1048576")
+        assert out.returncode == 1, out.stderr
+        if json_flag:
+            assert (json.loads(out.stdout)["message"], out.stderr) == (message, "")
+        else:
+            assert (out.stdout, out.stderr) == ("", f"crosscheck: error: {message}\n")
+        assert (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime) < 1
+
+
 class TestLift:
     def test_simple(self, capsys):
         code, obj = run_json(capsys, "lift", "3")
@@ -416,6 +443,8 @@ class TestOneRefusalPath:
         (["ev", "3", "-1", "2"], "3 -1 2", "vertex does not survive", None),
         (["zpath", "0"], None, "island index must be >= 1", None),
         (["crosscheck", "9", "0"], None, "island index and radius must be >= 1", None),
+        (["crosscheck", "9", "5"], None, "the cross-check of island 9 at radius 5 would "
+         "examine up to 4251528 words, more than 1048576", None),
         (["lift", "--start", "3", "1"], "1", "word does not survive the pruning", None),
         (["in-k", "2", "x"], "2 x", "non-integer token 'x' in word", None),
         (["witness", "1", "-1"], "1 -1", "word reduces to the empty word; nothing to certify",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from earring import caching, graph
 from earring.caching import reset_caches
-from earring.checks import formula_removes, in_line, removal_cross_check
+from earring.checks import edge_path, formula_removes, in_line, island_sample, removal_cross_check
 from earring.graph import (
     Vertex,
     base_vertex,
@@ -61,6 +61,7 @@ class TestIslandData:
         assert type(island_of(anchor(1))) is int
         assert type(classify(anchor(1)).j) is int
         assert type(removal_cross_check(True, 1).j) is int
+        assert edge_path(True) == edge_path(1)
 
     def test_float_index_is_refused_memo_or_not(self):
         reset_caches()
@@ -69,6 +70,10 @@ class TestIslandData:
         island_data(2)
         with pytest.raises(TypeError):
             island_data(2.0)
+        with pytest.raises(TypeError):
+            edge_path(2.0)
+        with pytest.raises(ValueError, match="island index must be >= 1"):
+            edge_path(0)
 
 
 class TestInLine:
@@ -353,6 +358,15 @@ class TestCrossCheck:
         assert time.process_time() - t0 < 4
         assert (report.examined, report.removed, len(report.disagreements)) == (196, 136, 0)
 
+    @pytest.mark.parametrize("v", [(1, 2, 1, 2, 1, 4, -4), (1, 2, 1, 2, 1, -3, 3), (3, -3)])
+    def test_unreduced_word_is_refused(self, v):
+        # (1, 2, 1, 2, 1, 4, -4) reduces to the anchor of island 1, which
+        # the pattern keeps; read unreduced, its a_4 after the anchor
+        # matches the r = 0 branch
+        assert not formula_removes(reduce_word(v), 1)
+        with pytest.raises(ValueError, match="expected a reduced word"):
+            formula_removes(v, 1)
+
     def test_a1_neighbor_of_zpath_never_removed(self):
         d = island_data(1)
         for z in d.z_set:
@@ -364,20 +378,22 @@ class TestCrossCheck:
 
 class TestDefinitionalLayer:
     """The definitional checks live in `earring.checks`, apart from the fast
-    path: `graph` defines none of them, and the line test reaches no name
-    that comes from `graph`, `lifting` or `corefree`."""
+    path: `graph` defines none of them, the module imports none of
+    `graph`, `lifting` or `corefree` at its top level, and no function of
+    it but `removal_cross_check` reaches a name that comes from them."""
 
-    MOVED = ["in_line", "_line_offset", "formula_removes", "CrossCheckReport",
-             "removal_cross_check"]
+    MOVED = ["edge_path", "island_sample", "in_line", "_line_offset", "formula_removes",
+             "_removes", "CrossCheckReport", "removal_cross_check"]
     FAST = {"graph", "lifting", "corefree"}
 
     def test_graph_defines_no_check(self):
         assert [name for name in self.MOVED if hasattr(graph, name)] == []
 
-    def test_line_test_reaches_no_fast_path_name(self):
+    def test_checks_reach_no_fast_path_name(self):
         import ast
 
         from earring import checks
+        assert not hasattr(checks, "island_data") and not hasattr(checks, "classify")
         with open(checks.__file__, encoding="utf-8") as f:
             tree = ast.parse(f.read())
         # every name that an import anywhere in checks.py binds from a
@@ -392,10 +408,14 @@ class TestDefinitionalLayer:
                 fast.update(alias.asname or alias.name.split(".")[0] for alias in node.names
                             if set(alias.name.split(".")) & self.FAST)
         # the cross-check decides membership by the fast path, so the scan
-        # above sees its import
-        assert {"classify", "island_data"} <= fast
-        # the module-level definitions, and every name that the line test
-        # reads through them
+        # above sees its import; no import at the top level binds a name
+        # of the fast path
+        assert {"classify"} <= fast
+        top = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert [alias.name for node in top for alias in node.names
+                if (alias.asname or alias.name) in fast] == []
+        # the module-level definitions, and every name that the functions
+        # other than the cross-check read through them
         defs = {}
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -404,52 +424,44 @@ class TestDefinitionalLayer:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defs.update((n.id, node) for target in targets for n in ast.walk(target)
                             if isinstance(n, ast.Name))
-        reached, todo = set(), ["in_line"]
+        roots = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name != "removal_cross_check"]
+        assert {"edge_path", "island_sample", "in_line", "formula_removes"} <= set(roots)
+        reached, todo = set(), roots
         while todo:
             name = todo.pop()
             if name not in reached:
                 reached.add(name)
                 if name in defs:
                     todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
-        assert "_line_offset" in reached
+        assert {"_line_offset", "_removes"} <= reached
         assert sorted(reached & fast) == []
 
 
 # --- sampled invariants ----------------------------------------------------
 
-def _island_sample(j, extent=6):
-    d = island_data(j)
-    out = set(d.z_set)
-    for z in d.z_set:
-        for s in range(1, d.level + 1):
-            for r in range(1, extent + 1):
-                out.add(reduce_word(z + (s,) * r))
-                out.add(reduce_word(z + (-s,) * r))
-    return out
-
-
 class TestIslandInvariants:
     def test_disjointness(self):
         owners = {}
         for j in range(1, 51):
-            for v in _island_sample(j):
+            for v in island_sample(j, 6):
                 assert owners.setdefault(v, j) == j
 
     def test_membership_of_samples(self):
         for j in (1, 2, 9, 17, 40):
-            for v in _island_sample(j):
+            for v in island_sample(j, 6):
                 assert island_of(v) == j
 
     def test_island_bound_on_labels(self):
         for j in (1, 9, 17):
             nj = island_data(j).level
-            for v in _island_sample(j):
+            for v in island_sample(j, 6):
                 es = e_set(v)
                 assert {1, 2} <= es <= set(range(1, nj + 1))
 
     def test_high_label_neighbors_stay_on_island(self):
         for j in (9, 17, 40):
-            for v in _island_sample(j, extent=3):
+            for v in island_sample(j, 3):
                 for i in e_set(v):
                     if i < 3:
                         continue
@@ -471,7 +483,7 @@ def _near_islands(jmax, radius):
     for j in range(1, jmax + 1):
         top = island_data(j).level + 1
         letters = [x for i in range(1, top + 1) for x in (i, -i)]
-        frontier = _island_sample(j, extent=2)
+        frontier = island_sample(j, 2)
         out |= frontier
         for _ in range(radius):
             frontier = {reduce_word(v + (x,)) for v in frontier for x in letters}
@@ -639,11 +651,10 @@ class TestRayAgreement:
 
 @functools.lru_cache(maxsize=None)
 def _spelled_island(j):
-    """The edge-path vertices of island j spelled from the definition,
-    reduce(anchor(j) . w_j[:i]) for 0 <= i <= |w_j|, and the level n_j."""
-    wj = nth_word(j)
-    path = tuple(reduce_word(anchor(j) + wj[:i]) for i in range(len(wj) + 1))
-    return path, max(2, max(abs(x) for x in wj))
+    """The edge-path words of island j from the definitional twin, the
+    reductions of anchor(j) . w_j[:i] for 0 <= i <= |w_j|, and the level
+    n_j."""
+    return island_sample(j, 0), edge_path(j)[1]
 
 
 def _definitional_island(v):
@@ -696,33 +707,10 @@ class TestDefinitionalMembership:
         assert kinds == {"Z": 80, "L": 456, None: 6_542}
 
 
-def _reduced_edge_path(n, wj):
-    """The free reductions of R[:n] . w_j[:i], i = 0..|w_j|, R the zig-zag
-    ray and n = anchor_length(j), each as (ray-prefix length p, tail):
-    the reduced word is R[:p] followed by the tail, whose first letter is
-    not R's letter p.  The anchor is never spelled."""
-    p, tail = n, []
-    out = [(p, ())]
-    for x in wj:
-        if tail:
-            if x == -tail[-1]:
-                tail.pop()
-            else:
-                tail.append(x)
-        elif p and x == -(1 if p % 2 else 2):
-            p -= 1          # cancels R's letter p - 1
-        elif x == (2 if p % 2 else 1):
-            p += 1          # is R's letter p
-        else:
-            tail.append(x)
-        out.append((p, tuple(tail)))
-    return out
-
-
 class TestEdgePathTwin:
     """Every edge-path vertex island_data(j).path[i] of every j of weight
     <= 8 against the free reduction of anchor(j) . w_j[:i], computed from
-    the words layer alone by `_reduced_edge_path`."""
+    the words layer alone by `checks.edge_path`."""
 
     def test_weight_8(self):
         reset_caches()
@@ -731,11 +719,25 @@ class TestEdgePathTwin:
         for wt in range(2, 9):
             for wj in words_of_weight(wt):
                 j += 1
-                twin = _reduced_edge_path(anchor_length(j), wj)
-                path = island_data(j).path
-                assert len(path) == len(twin), j
+                twin, level = edge_path(j)
+                data = island_data(j)
+                path = data.path
+                assert len(path) == len(twin) and data.level == level, j
                 for i, (z, (p, tail)) in enumerate(zip(path, twin)):
                     assert (z.depth, z.ray_len, z.tail) == (p + len(tail), p, tail), (j, i)
         assert j == 17_254
         reset_caches()
         assert time.process_time() - t0 < 2.0
+
+    def test_z_set_weight_6(self):
+        # the spelled edge-path, island_data(j).z_set, against the twin's;
+        # at weight 7 reading z_set alone spells 2.1 * 10^8 letters, in
+        # about 3 s of CPU
+        reset_caches()
+        j = 0
+        for wt in range(2, 7):
+            for _ in words_of_weight(wt):
+                j += 1
+                assert island_data(j).z_set == island_sample(j, 0), j
+        assert j == 578
+        reset_caches()
