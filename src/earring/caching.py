@@ -1,12 +1,15 @@
 """The byte cap on the word index, and the reset of all cached state.
 
 The environment variable EARRING_CACHE_BYTES bounds the graph's word
-index, the one table keyed by words (word -> trie vertex, or pruned).
-It is a whole number of bytes written in decimal digits, such as 65536;
-any other value makes `cache_limit` raise ValueError.  Its cost is an
-estimate, 128 bytes plus 8 per letter of each key; when the next entry
-would pass the cap the whole table is cleared, an entry that alone costs
-more than the cap is not stored and clears nothing, and 0 keeps it empty.
+index, the one table keyed by words (word -> trie vertex, or pruned);
+its key is the word's exact encoding, `marshal.dumps(word, 2)`, which
+tells (True,) and (1.0,) from (1,).  The variable is a whole number of
+bytes written in decimal digits, such as 65536; any other value makes
+`cache_limit` raise ValueError.  An entry's cost is an estimate, 128
+bytes plus 8 per letter of its word, not measured memory; when the next
+entry would pass the cap the whole table is cleared, an entry that alone
+costs more than the cap is not stored and clears nothing, and 0 keeps
+it empty.
 Island data is not memoised: it hangs on its anchor vertex as that
 vertex's island hit, and each trie vertex's island hit holds its own
 island's data.  The trie of visited vertices and the class table of the

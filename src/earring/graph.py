@@ -8,6 +8,7 @@ answered from the word alone.
 
 from __future__ import annotations
 
+import marshal
 import operator
 import weakref
 from collections import namedtuple
@@ -258,9 +259,15 @@ def _descend(v: Word, p: int) -> Optional["Vertex"]:
 
 
 # The word index: reduced word -> its trie vertex, or False if it is
-# pruned.  It is the one table under the byte cap (see `caching`), at an
-# estimated 128 bytes plus 8 per letter of each key, and is cleared
-# whole when the next entry would pass the cap.
+# pruned, keyed by the word's marshal encoding at version 2.  That writes
+# a tuple as "(" and a 4-byte length, and each plain int as "i" and 4
+# bytes, or "l" and its digits past 32 bits; a bool as "T" or "F", a
+# float as "g", and it refuses an int subclass, so equal keys mean equal
+# letters of equal types.  From version 3 on, marshal may write
+# back-references, so equal words could get different bytes.  The index
+# is the one table under the byte cap (see `caching`), at an estimated
+# 128 bytes plus 8 per letter of each word, and is cleared whole when the
+# next entry would pass the cap.
 _index: dict = {}
 _index_bytes = 0
 
@@ -268,21 +275,31 @@ _index_bytes = 0
 def _vertex_of(v: Word):
     """The trie vertex of the reduced word v, or False if v is pruned.
 
-    A letter that is not a plain int is refused before the lookup, since
-    (True,) and (1.0,) compare and hash equal to (1,).  A key of the index
-    holds plain nonzero ints and is reduced, and so does a word of plain
-    ints equal to it: a hit reads each letter for the type pass and the
-    hash only.  A miss reads the ray agreement p by block comparisons;
-    R[:p] is nonzero and reduced, so the zero check runs on v[p:] and the
-    reduction check on v[p - 1:], the junction letter and the tail.  A
-    bad letter is refused first, then a zero, then an unreduced word."""
+    A key of the index is the exact encoding of a checked word, plain
+    nonzero ints and reduced, and only a word of the same plain ints has
+    that encoding: a hit encodes v once and hashes and compares bytes,
+    with no pass over the letters.  On a miss, a type byte "i" every 5
+    bytes proves that every letter is a plain int of 32 bits, since each
+    type byte stands 5 bytes after the last only while every earlier
+    letter was an "i"; any other word, with a big int, a bool, a float or
+    a letter marshal refuses, goes to `check_word`.  The miss then reads
+    the ray agreement p by block comparisons; R[:p] is nonzero and
+    reduced, so the zero check runs on v[p:] and the reduction check on
+    v[p - 1:], the junction letter and the tail.  A bad letter is refused
+    first, then a zero, then an unreduced word."""
     global _index_bytes
     v = tuple(v)
-    if operator.countOf(map(type, v), int) != len(v):
-        check_word(v)
-    node = _index.get(v)
+    try:
+        key = marshal.dumps(v, 2)
+    except ValueError:
+        # an int subclass, or a letter marshal cannot write: the stride
+        # check below then sends v to check_word
+        key = b""
+    node = _index.get(key)
     if node is not None:
         return node
+    if key[5::5] != b"i" * len(v):
+        check_word(v)
     p = ray_agreement(v)
     check_word(v[p:])
     if not is_reduced(v[p - 1:] if p else v):
@@ -296,7 +313,7 @@ def _vertex_of(v: Word):
     if _index_bytes + cost > limit:
         _index.clear()
         _index_bytes = 0
-    _index[v] = node
+    _index[key] = node
     _index_bytes += cost
     return node
 

@@ -1,4 +1,5 @@
 import functools
+import marshal
 import re
 import time
 from enum import IntEnum
@@ -266,7 +267,7 @@ class TestRefusalsIgnoreTheIndex:
     WORD = zigzag_prefix(100) + (3, 2, 3)
     # first, inside the ray prefix, at the junction, last
     POSITIONS = (0, 5, 64, 100, 102)
-    BAD = (True, False, 1.0, 2.0, A.one, 0, "1", None)
+    BAD = (True, False, 1.0, 2.0, A.one, I(1), 0, "1", None, (1,))
 
     def _refusals(self):
         for x in self.BAD:
@@ -287,18 +288,76 @@ class TestRefusalsIgnoreTheIndex:
         finally:
             reset_caches()
 
-    @pytest.mark.parametrize("x", [True, 1.0, 2.0, A.one], ids=repr)
+    @pytest.mark.parametrize("x", [True, 1.0, 2.0, A.one, I(1), "1", None, (1,)], ids=repr)
     def test_refused_after_the_equal_word_is_indexed(self, x):
         reset_caches()
         for i in self.POSITIONS:
             bad = self.WORD[:i] + (x,) + self.WORD[i + 1:]
-            good = self.WORD[:i] + (int(x),) + self.WORD[i + 1:]
+            plain = int(x) if isinstance(x, (int, float)) else 1
+            good = self.WORD[:i] + (plain,) + self.WORD[i + 1:]
             with pytest.raises(ValueError, match=_refusal(x)):
                 survives(bad)
             survives(good)
-            assert good in graph._index
+            assert marshal.dumps(good, 2) in graph._index
             with pytest.raises(ValueError, match=_refusal(x)):
                 survives(bad)
+
+
+def _answer(w):
+    """survives and island_of on w, or the message that refuses it."""
+    try:
+        return survives(w), island_of(w)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestExactKey:
+    """The word index is keyed by each word's marshal encoding: a word
+    gets the same answer, or `check_word`'s message, on a miss, on a hit,
+    with the index off, and after the plain-int word it stands for is
+    indexed."""
+
+    WORD = TestRefusalsIgnoreTheIndex.WORD
+    POSITIONS = TestRefusalsIgnoreTheIndex.POSITIONS
+
+    def _answers(self, w, plain):
+        reset_caches()
+        caching._limit = 0
+        try:
+            off = _answer(w)
+        finally:
+            reset_caches()
+        miss, hit = _answer(w), _answer(w)
+        reset_caches()
+        survives(plain)
+        after = _answer(w)
+        reset_caches()
+        return off, miss, hit, after
+
+    # the ends of marshal's 32-bit "i" range and past it, where it writes "l"
+    @pytest.mark.parametrize("x", [2**31 - 1, 2**31, -2**31, -2**31 - 1, 2**63, 10**30],
+                             ids=repr)
+    def test_letters_at_the_32_bit_boundary(self, x):
+        for i in self.POSITIONS:
+            w = self.WORD[:i] + (x,) + self.WORD[i + 1:]
+            assert self._answers(w, w) == ((False, None),) * 4, i
+        survives(w)
+        assert list(graph._index) == [marshal.dumps(w, 2)]
+
+    def test_a_bool_next_to_a_float(self):
+        # "T" is 1 byte and "g" 9: the stride of 5 realigns after them
+        for i in self.POSITIONS[:-1]:
+            w = self.WORD[:i] + (True, 1.0) + self.WORD[i + 2:]
+            plain = self.WORD[:i] + (1, 1) + self.WORD[i + 2:]
+            for answer in self._answers(w, plain):
+                assert re.match(_refusal(True), answer), (i, answer)
+
+    def test_a_list_and_a_tuple_share_their_vertex(self):
+        reset_caches()
+        for w in (zigzag_prefix(100), anchor(9), reduce_word(anchor(9) + (3, 3))):
+            assert Vertex.make(list(w)) is Vertex.make(w)
+            assert survives(list(w)) is survives(w)
+        assert len(graph._index) == 3
 
 
 class TestESet:
