@@ -13,8 +13,9 @@ graft each enumerated word onto the zig-zag ray.
 
 Random access is closed-form: `nth_word` unranks j inside its
 (length, max index) class, `index_of` ranks a word, `word_length`,
-`cumulative_length` and `anchor_length` sum over classes, and
-`anchor_index` inverts `anchor_length`.  No word is stored; the only
+`cumulative_length` and `anchor_length` sum over classes,
+`anchor_index` inverts `anchor_length`, and `anchor_window` finds the
+one anchor near a ray position.  No word is stored; the only
 table holds one entry per class, about w^2/2 entries for the words of
 weight up to w, and it stops at weight MAX_WEIGHT = 384: `index_of`
 refuses a word of greater weight, and `nth_word` an index past the words
@@ -269,6 +270,21 @@ def anchor_index(p: int) -> int:
     # longer words, hence the clamp
     r = (p - _first_anchors[k]) // (2 * _classes[k][0] + 3)
     return _firsts[k] + min(r, _firsts[k + 1] - _firsts[k] - 1) + 1
+
+
+def anchor_window(p: int):
+    """(j, anchor_length(j)) for the island j whose anchor lies within
+    |w_j| + 1 of the ray position p, or None.  Consecutive anchors are
+    |w_j| + 3 + |w_{j+1}| apart, so only the last anchor at or before p
+    or the next one can be that close, and at most one of them is; each
+    candidate is read with one class lookup."""
+    j = anchor_index(p)
+    for j in range(max(j, 1), j + 2):
+        (length, _, before), r = _class_of(j)
+        a = 2 * (before + r * length) + 3 * j + length
+        if abs(p - a) <= length + 1:
+            return j, a
+    return None
 
 
 def _ray_letter(p: int) -> Letter:

@@ -64,10 +64,10 @@ MUTANTS = [
          "        if s <= data.level:\n",
          "        if s < data.level:\n",
          "tests/test_graph.py::TestDefinitionalMembership"),
-    _one("locate-without-next-island", "graph.py",
-         "        j += 1\n        if anchor_length(j) - p > word_length(j) + 1:\n"
-         "            return None\n",
-         "        return None\n",
+    # the window function without its second candidate, the next anchor
+    _one("locate-without-next-island", "words.py",
+         "    for j in range(max(j, 1), j + 2):\n",
+         "    for j in range(max(j, 1), j + 1):\n",
          "tests/test_model.py"),
     _one("line-sign-at-base-of-z", "graph.py",
          "            s, r = t, -b\n",
@@ -118,6 +118,21 @@ MUTANTS = [
          "        i += 64\n",
          "        i += 63\n",
          "tests/test_trie.py::TestRayVertices"),
+    _one("ray-halving-skips-one-letter", "graph.py",
+         "    for n in (32, 16, 8, 4, 2, 1):\n",
+         "    for n in (32, 16, 8, 4, 2):\n",
+         "tests/test_trie.py::TestQueryPathAgainstItsDefinition::"
+         "test_ray_agreement_at_every_mismatch"),
+    _one("miss-descent-ignores-labels", "graph.py",
+         "        if x not in _LOW_LETTERS and abs(x) not in node.e_set:\n"
+         "            return None\n",
+         "",
+         "tests/test_graph.py::TestSurvives"),
+    _one("step-admits-a-bool", "graph.py",
+         "        if type(letter) is not int or not letter:\n"
+         "            check_word((letter,))\n",
+         "",
+         "tests/test_graph.py::TestStepRefusesBadLetters"),
     _one("unkept-miss-reads-pruned", "graph.py",
          "        # an entry the index will not keep leaves it as it is\n        return node\n",
          "        # an entry the index will not keep leaves it as it is\n        return False\n",

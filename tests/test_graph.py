@@ -303,6 +303,30 @@ class TestRefusalsIgnoreTheIndex:
                 survives(bad)
 
 
+class TestStepRefusesBadLetters:
+    """`Vertex.step` refuses a letter that is not a nonzero plain int with
+    `check_word`'s message, before the trie is touched: a bool, a float or
+    an int subclass equal to a letter would otherwise be looked up as that
+    letter's child, or made a child and spelled in every later word, and
+    0 would answer a loop."""
+
+    @pytest.mark.parametrize("x", TestRefusalsIgnoreTheIndex.BAD, ids=repr)
+    def test_refused_with_and_without_the_child(self, x):
+        reset_caches()
+        v = Vertex.make((2,))
+        with pytest.raises(ValueError, match=_refusal(x)):
+            v.step(x)
+        assert v._children is None
+        # now the children by the plain letters 1 and 2 exist
+        kids = {y: v.step(y)[1] for y in (1, 2)}
+        for step in (v.step, functools.partial(neighbor, v)):
+            with pytest.raises(ValueError, match=_refusal(x)):
+                step(x)
+        assert v._children == kids
+        w = Vertex.make((2, 1))
+        assert w is kids[1] and [type(y) for y in w.word] == [int, int]
+
+
 def _answer(w):
     """survives and island_of on w, or the message that refuses it."""
     try:

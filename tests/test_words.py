@@ -15,6 +15,7 @@ from earring.words import (
     anchor,
     anchor_index,
     anchor_length,
+    anchor_window,
     check_word,
     concat,
     cumulative_length,
@@ -282,6 +283,51 @@ class TestClassBoundaries:
             j = index_of(w)
             assert nth_word(j) == w and ref.nth_word(j) == w
         assert time.process_time() - t0 < 2.0
+
+
+def _three_call_window(p):
+    """The window rule by anchor_index, anchor_length and word_length: the
+    last anchor at or before p if it is within |w_j| + 1 of p, else the
+    next one if it is, else None."""
+    j = anchor_index(p)
+    if j == 0 or p - anchor_length(j) > word_length(j) + 1:
+        j += 1
+        if anchor_length(j) - p > word_length(j) + 1:
+            return None
+    return j, anchor_length(j)
+
+
+class TestAnchorWindow:
+    """anchor_window, one class lookup per candidate, against the rule it
+    replaces, which looks each candidate up three times."""
+
+    def test_every_position_below_weight_8(self):
+        first = sum(last - f + 1 for *_, f, last in _class_bounds(7)) + 1
+        assert weight(nth_word(first)) == 8 and weight(nth_word(first - 1)) == 7
+        found = set()
+        for p in range(anchor_length(first)):
+            near = anchor_window(p)
+            assert near == _three_call_window(p), p
+            found.add(near and near[0])
+        # the windows tile the ray from p = 2: only p = 0 and 1 have none
+        assert anchor_window(0) is anchor_window(1) is None
+        assert found == {None} | set(range(1, first + 1))
+
+    def test_around_far_anchors_and_class_boundaries(self):
+        rng = random.Random(32)
+        js = [int(10 ** rng.uniform(5, 12)) for _ in range(2000)] + FAR
+        for _, _, first, last in _class_bounds(40):
+            js += [first, last]
+        for j in js:
+            a, n = anchor_length(j), word_length(j)
+            for p in range(a - n - 3, a + n + 4):
+                assert anchor_window(p) == _three_call_window(p), (j, p)
+            # the window is |w_j| + 1 either side of the anchor, and the
+            # neighbours' windows start right past it
+            assert anchor_window(a - n - 1) == anchor_window(a + n + 1) == (j, a), j
+            before = (j - 1, anchor_length(j - 1)) if j > 1 else None
+            assert anchor_window(a - n - 2) == before, j
+            assert anchor_window(a + n + 2) == (j + 1, anchor_length(j + 1)), j
 
 
 class TestWeightBound:
