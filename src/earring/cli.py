@@ -8,7 +8,9 @@ one.  Output is one line of text per invocation, except text `lift
 with ``--json`` it is one JSON object.  Exit codes: 0 ok, 1 usage or
 precondition error, 2 a scan found a property violation.  A refusal is
 `COMMAND: error: MESSAGE` on stderr, or with ``--json`` one object with
-status "error" on stdout.
+status "error" on stdout; a usage error is the usage line and
+`earring COMMAND: error: MESSAGE` on stderr, or under a leading
+``--json`` that one object.
 
 Every command is one entry of COMMANDS, which holds its help line, its
 arguments, its options and its handler; the parser and the help text are
@@ -149,6 +151,19 @@ def _emit(args, payload):
     else:
         parts = [f"{k}={v}" for k, v in payload.items() if k != "input"]
         print(f"{args.command} {payload.get('input', '')}: " + " ".join(parts))
+
+
+def _refuse(args, message: str, text: str) -> int:
+    """Write a refusal and return its exit code, 1: `text` on stderr, or
+    with --json one object whose status is "error" on stdout, naming the
+    word of a word command."""
+    if args.json:
+        print(json.dumps({"command": args.command, "input": getattr(args, "wtext", None),
+                          "message": message, "output": {}, "status": "error"},
+                         sort_keys=True), flush=True)
+    else:
+        print(text, file=sys.stderr)
+    return 1
 
 
 def _vertex_text(v, unwind: int = 0) -> str:
@@ -318,17 +333,18 @@ def _atlas_check(args):
 
 
 def main(argv: list | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
         try:
-            args = _parse(sys.argv[1:] if argv is None else argv)
+            args = _parse(argv)
         except _Usage as exc:
             name, message = exc.args
             if message is None:
                 print(_help(name), flush=True)
                 return 0
-            print(_usage(name), f"earring{'' if name is None else ' ' + name}: error: {message}",
-                  sep="\n", file=sys.stderr)
-            return 1
+            return _refuse(SimpleNamespace(json=argv[:1] == ["--json"], command=name), message,
+                           f"{_usage(name)}\nearring{'' if name is None else ' ' + name}: "
+                           f"error: {message}")
         try:
             if hasattr(args, "word"):
                 # a refusal names the word as given until it is read
@@ -340,15 +356,8 @@ def main(argv: list | None = None) -> int:
             caching.cache_limit()
             code = COMMANDS[args.command][3](args) or 0
         except (ValueError, MemoryError) as exc:
-            # the one place a refusal is written; a word command's names the word
             message = str(exc) if isinstance(exc, ValueError) else "out of memory"
-            if args.json:
-                print(json.dumps({"command": args.command, "input": getattr(args, "wtext", None),
-                                  "message": message, "output": {}, "status": "error"},
-                                 sort_keys=True))
-            else:
-                print(f"{args.command}: error: {message}", file=sys.stderr)
-            code = 1
+            code = _refuse(args, message, f"{args.command}: error: {message}")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout, as `earring ... | head` does: point stdout

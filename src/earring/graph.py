@@ -13,26 +13,18 @@ import operator
 import weakref
 from collections import namedtuple
 from functools import cached_property
-# No code here reads compress, count, cycle, anchor_index or word_length.
-# Deleting these imports moves the generation-0 GC phase of the
-# benchmark's witness op (ROADMAP item 1A): `tests/gc_probe.py --all`
-# then reads a collection inside 60 of its 75 ops.  They stay, as
-# `IslandData.z_set` does, until the harness collects before its timed op.
-from itertools import compress, count, cycle
 from typing import Optional
 
 from .caching import cache_limit
 from .words import (
     Word,
     _ray_letter,
-    anchor_index,
     anchor_length,
     anchor_window,
     check_word,
     format_ray_word,
     is_reduced,
     nth_word,
-    word_length,
     zigzag_prefix,
 )
 
@@ -82,12 +74,11 @@ class IslandData(_IslandFields):
     """Everything attached to enumeration index j: the word, the length
     of its anchor, the level n_j, and the anchored edge-path vertices,
     which are trie vertices; `records` holds each once, in walk order.  A
-    named tuple of its fields; `z_set` spells the words of `records` on
-    first read, and `bases` strips each vertex of its final run on the
-    first line test.  The data hangs on its anchor vertex as that vertex's
-    island hit, and every vertex's hit holds its island's data, so it lives
-    as long as the anchor or a vertex that located it.  The repr leaves out
-    `path`, `records` and `max_len`."""
+    named tuple of its fields; `bases` strips each vertex of its final run
+    on the first line test.  The data hangs on its anchor vertex as that
+    vertex's island hit, and every vertex's hit holds its island's data, so
+    it lives as long as the anchor or a vertex that located it.  The repr
+    leaves out `path`, `records` and `max_len`."""
 
     def __repr__(self):
         return (f"IslandData(j={self.j!r}, word={self.word!r}, level={self.level!r}, "
@@ -99,10 +90,6 @@ class IslandData(_IslandFields):
         b signed, and base(z) does not end in a_t^{+-1}."""
         return tuple((abs(z.letter), z.run if z.letter > 0 else -z.run, _base(z))
                      for z in self.records)
-
-    @cached_property
-    def z_set(self) -> frozenset:
-        return frozenset(z.word for z in self.records)
 
 
 def _base(v: "Vertex") -> "Vertex":

@@ -89,10 +89,10 @@ MUTANTS = [
          "        z = z.parent if x == -z.letter else z._child(x)\n",
          "        z = z._child(x)\n",
          "tests/test_graph.py::TestEdgePathTwin"),
-    _one("z-set-without-the-anchor", "graph.py",
-         "        return frozenset(z.word for z in self.records)\n",
-         "        return frozenset(z.word for z in self.records[1:])\n",
-         "tests/test_graph.py::TestEdgePathTwin::test_z_set_weight_6"),
+    _one("records-without-the-anchor", "graph.py",
+         "    records = tuple(dict.fromkeys(path))\n",
+         "    records = tuple(dict.fromkeys(path[1:]))\n",
+         "tests/test_graph.py::TestEdgePathTwin::test_records_weight_6"),
     # --- graph: the word index and the trie ----------------------------------
     _one("miss-without-the-key-type-check", "graph.py",
          "    if key[5::5] != b\"i\" * len(v):\n        check_word(v)\n",
@@ -219,6 +219,11 @@ MUTANTS = [
          "    if bound > MAX_CROSSCHECK_WORDS:\n",
          "    if False:\n",
          "tests/test_cli.py::TestCrosscheck::test_large_ball_is_refused"),
+    # --- the command line -------------------------------------------------------
+    _one("usage-refusal-ignores-json", "cli.py",
+         "SimpleNamespace(json=argv[:1] == [\"--json\"], command=name)",
+         "SimpleNamespace(json=False, command=name)",
+         "tests/test_cli.py::TestUsage::test_usage_errors"),
     # --- lifting and witnesses ------------------------------------------------
     _one("ray-inverse-parity-flipped", "lifting.py",
          "(v.depth - m) % 2 == 0",

@@ -433,9 +433,11 @@ class TestAtlasCheck:
 
 
 class TestOneRefusalPath:
-    """Every refusal reaches the user one way: the handler raises, and
-    `main` writes `COMMAND: error: MESSAGE` to stderr, or with --json one
-    object to stdout that names the word of a word command."""
+    """Every refusal reaches the user one way: the handler raises, or the
+    command line does not parse, and `main` writes `COMMAND: error:
+    MESSAGE` to stderr, or with --json one object to stdout that names the
+    word of a word command.  A usage error's text also shows the usage and
+    names the program."""
 
     # argv, the word a --json refusal names, the message, EARRING_CACHE_BYTES
     CASES = [
@@ -458,6 +460,8 @@ class TestOneRefusalPath:
         (["q-point", "e:e:x:0.5"], None, "edge label must be an integer, not 'x'", None),
         (["q-point", "e:e:3:x"], None, "edge parameter t must be a number, not 'x'", None),
         (["atlas-check", "--samples", "-1"], None, "the sample count must be >= 0", None),
+        # a usage error
+        (["zpath", "x"], None, "argument J: invalid int value: 'x'", None),
         (["survives", "1", "2"], "1 2", "EARRING_CACHE_BYTES must be a whole number of bytes "
          "in decimal digits, such as 65536, not '1e6'", "1e6"),
     ]
@@ -483,7 +487,8 @@ class TestOneRefusalPath:
                                                "status": "error", "message": message}, "")
             assert out.count("\n") == 1
         else:
-            assert (out, err) == ("", f"{argv[0]}: error: {message}\n")
+            usage = "usage: earring [--json] zpath J\nearring " if argv == ["zpath", "x"] else ""
+            assert (out, err) == ("", f"{usage}{argv[0]}: error: {message}\n")
 
     def test_no_handler_writes_a_refusal(self):
         # neither a handler nor `_emit` catches a refusal or writes one
@@ -566,8 +571,16 @@ class TestUsage:
     @pytest.mark.parametrize("json_flag", [True, False])
     def test_usage_errors(self, capsys, argv, usage, message, json_flag):
         code, out, err = run_cli(capsys, *(["--json"] if json_flag else []), *argv)
-        assert (code, out) == (1, "")
-        assert err == f"usage: earring [--json] {usage}\n{message}\n"
+        if json_flag:
+            # one object, which names the command only when one was given
+            command = None if usage == "COMMAND ARGS..." else usage.split()[0]
+            assert (code, err, out.count("\n")) == (1, "", 1)
+            assert json.loads(out) == {"command": command, "input": None,
+                                       "message": message.partition("error: ")[2],
+                                       "output": {}, "status": "error"}
+        else:
+            assert (code, out) == (1, "")
+            assert err == f"usage: earring [--json] {usage}\n{message}\n"
 
     def test_import_leaves_argparse_and_re_out(self):
         # `re` itself is loaded by the standard library's typing, dataclasses

@@ -125,7 +125,7 @@ class TestInLine:
     def test_agrees_with_fast_path(self):
         # the membership oracle's suffix-run shortcut against the definition
         d = island_data(9)
-        for z in d.z_set:
+        for z in island_sample(9, 0):
             for s in range(1, d.level + 1):
                 for r in range(-4, 5):
                     v = reduce_word(z + ((s,) * r if r > 0 else (-s,) * (-r)))
@@ -451,8 +451,7 @@ class TestCrossCheck:
             formula_removes(v, 1)
 
     def test_a1_neighbor_of_zpath_never_removed(self):
-        d = island_data(1)
-        for z in d.z_set:
+        for z in island_sample(1, 0):
             for letter in (1, -1, 2, -2):
                 v = reduce_word(z + (letter,))
                 if classify(v) is None:
@@ -600,7 +599,7 @@ class TestIslandHit:
             if hit is None:
                 continue
             kinds[hit.kind] += 1
-            zset = hit.data.z_set
+            zset = island_sample(hit.j, 0)
             if hit.kind == "Z":
                 assert w in zset and hit.u is None
             else:
@@ -812,15 +811,15 @@ class TestEdgePathTwin:
         reset_caches()
         assert time.process_time() - t0 < 2.0
 
-    def test_z_set_weight_6(self):
-        # the spelled edge-path, island_data(j).z_set, against the twin's;
-        # at weight 7 reading z_set alone spells 2.1 * 10^8 letters, in
-        # about 3 s of CPU
+    def test_records_weight_6(self):
+        # the spelled edge-path, the words of island_data(j).records,
+        # against the twin's; at weight 7 spelling them alone takes
+        # 2.1 * 10^8 letters, in about 3 s of CPU
         reset_caches()
         j = 0
         for wt in range(2, 7):
             for _ in words_of_weight(wt):
                 j += 1
-                assert island_data(j).z_set == island_sample(j, 0), j
+                assert {z.word for z in island_data(j).records} == island_sample(j, 0), j
         assert j == 578
         reset_caches()

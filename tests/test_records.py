@@ -83,8 +83,6 @@ def test_lazy_attributes_are_made_once():
     assert "trace" not in vars(cert) and "conjugate_endpoint" not in vars(cert)
     assert cert.trace is cert.trace
     assert cert.conjugate_endpoint is cert.conjugate_endpoint
-    data = island_data(9)
-    assert data.z_set is data.z_set
 
 
 def test_trace_keeps_no_steps():

@@ -184,8 +184,8 @@ def domain() -> list:
     words = set()
     for j in range(1, 41):
         data = island_data(j)
-        for z in data.z_set:
-            words |= _ball(z, 3 if j <= 20 else 2, data.level + 2)
+        for z in data.records:
+            words |= _ball(z.word, 3 if j <= 20 else 2, data.level + 2)
     return sorted(words)
 
 

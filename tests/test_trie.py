@@ -106,7 +106,7 @@ def _ball_domains():
         count += 1
     for j in range(1, 21):
         data = island_data(j)
-        for z in sorted(data.z_set):
+        for z in sorted(z.word for z in data.records):
             for w, v in _ball(z, 3, data.level + 1).items():
                 _check_vertex(v, w)
                 _check_steps(v, w, data.level + 1)
@@ -162,8 +162,8 @@ class TestTrieAgainstWords:
             return None if hit is None else (hit.j, hit.kind, hit.s, hit.r)
 
         reset_caches()
-        ws = sorted({reduce_word(z + (s, s)) for j in range(1, 80)
-                     for z in island_data(j).z_set for s in range(3, island_data(j).level + 3)})
+        ws = sorted({reduce_word(z.word + (s, s)) for j in range(1, 80)
+                     for z in island_data(j).records for s in range(3, island_data(j).level + 3)})
         ws = [w for w in ws if survives(w)]
         expected = [key(classify(w)) for w in ws]
         reset_caches()
@@ -196,8 +196,8 @@ class TestTrieAgainstWords:
         # z a_s^2 x (z on Z_j, j < 80, s >= 3, x = a_1^{+-1} or a_2^{+-1}),
         # stepped by x from its parent made before a reset, is refused
         reset_caches()
-        ws = sorted({reduce_word(z + (s, s, x)) for j in range(1, 80)
-                     for z in island_data(j).z_set for s in range(3, island_data(j).level + 3)
+        ws = sorted({reduce_word(z.word + (s, s, x)) for j in range(1, 80)
+                     for z in island_data(j).records for s in range(3, island_data(j).level + 3)
                      for x in (1, -1, 2, -2)})
         ws = [w for w in ws if survives(w)]
         reset_caches()
@@ -414,7 +414,7 @@ class TestChildSlot:
         balls = [_ball((), 4, 4)]
         for j in range(1, 11):
             data = island_data(j)
-            for z in sorted(data.z_set):
+            for z in sorted(z.word for z in data.records):
                 balls.append(_ball(z, 3, data.level + 1))
         count = 0
         for ball in balls:
