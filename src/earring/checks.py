@@ -5,10 +5,10 @@ the prose removal rule.
 
 They are kept apart from the fast path in `graph` on purpose, as slow
 twins to test it against, and are loaded on first use: `import earring`
-does not load this module.  Every function but `removal_cross_check` is
-built from `words` alone, and the module imports nothing from `graph`,
-`lifting` or `corefree` at its top level; the cross-check decides island
-membership by the fast path, importing `graph.classify` in its body.
+does not load this module.  Every function is built from `words` alone,
+and the module imports nothing from `graph`, `lifting` or `corefree`:
+the cross-check decides island membership from the island's own
+spelled words.
 """
 
 from __future__ import annotations
@@ -55,8 +55,16 @@ def edge_path(j: int) -> tuple:
 def island_sample(j: int, extent: int) -> set:
     """The spelled words of island j's edge-path, and each word
     reduce(z . a_s^r) on their lines, s <= n_j and 0 < |r| <= extent: the
-    edge-path alone at extent 0."""
+    edge-path alone at extent 0.  Raises ValueError, before it spells
+    anything, when the sample may hold more than words.MAX_LIFT_LETTERS
+    letters."""
     path, nj = edge_path(j)
+    # each edge-path vertex z and the words on its 2 n_j lines: at most
+    # 1 + 2 n_j extent words of at most |z| + extent letters each
+    letters = sum((1 + 2 * nj * extent) * (p + len(tail) + extent) for p, tail in set(path))
+    if letters > words.MAX_LIFT_LETTERS:
+        raise ValueError(f"the sample of island {operator.index(j)} at extent {extent} would "
+                         f"spell up to {letters} letters, more than {words.MAX_LIFT_LETTERS}")
     zset = {zigzag_prefix(p) + tail for p, tail in set(path)}
     return zset | {reduce_word(z + (x,) * r) for z in zset for s in range(1, nj + 1)
                    for x in (s, -s) for r in range(1, extent + 1)}
@@ -139,8 +147,8 @@ class CrossCheckReport(NamedTuple):
 
 # The bound on the words the cross-check's search may examine, as
 # predicted before it starts.  Near island 9, radius 4 examines 400,160
-# words (prediction 406,782) in 17 s of CPU at 281 MB (Python 3.11.7, 2
-# cores) and still answers; a search of 2^20 words holds about 0.7 GB;
+# words (prediction 406,782) in 15-18 s of CPU at 260 MB (Python 3.11.7,
+# 2 cores) and still answers; a search of 2^20 words holds about 0.7 GB;
 # radius 5 predicts 4,251,528 words and is refused.
 MAX_CROSSCHECK_WORDS = 2 ** 20
 
@@ -151,22 +159,14 @@ def removal_cross_check(j: int, radius: int) -> CrossCheckReport:
     then everything they separate) on all reduced words within the given
     edge-distance of a bounded sample of island vertices: the edge-path,
     and each line through it out to radius + 2 steps.  Island membership
-    is decided by the fast path, `graph.classify`."""
+    is read from the island's own spelled words, its lines out to
+    2 radius + 2 steps: every word the search reaches that lies on the
+    island lies that near its edge-path."""
     if j < 1 or radius < 1:
         raise ValueError("island index and radius must be >= 1")
-    from .graph import classify
-
-    path, nj = edge_path(j)
+    nj = edge_path(j)[1]
     j = operator.index(j)
-    # the sample holds each edge-path vertex z and the words on its 2 n_j
-    # lines out to radius + 2 steps: at most 1 + 2 n_j (radius + 2) words
-    # of at most |z| + radius + 2 letters each; refuse before spelling them
-    reach = radius + 2
-    letters = sum((1 + 2 * nj * reach) * (p + len(tail) + reach) for p, tail in set(path))
-    if letters > words.MAX_LIFT_LETTERS:
-        raise ValueError(f"the cross-check of island {j} at radius {radius} would spell "
-                         f"up to {letters} letters, more than {words.MAX_LIFT_LETTERS}")
-    sample = island_sample(j, reach)
+    sample = island_sample(j, radius + 2)
     kmax = nj + 2
     # each word has at most 2 kmax - 1 neighbors away from where the
     # search came from; refuse a search that may examine too many words
@@ -174,6 +174,7 @@ def removal_cross_check(j: int, radius: int) -> CrossCheckReport:
     if bound > MAX_CROSSCHECK_WORDS:
         raise ValueError(f"the cross-check of island {j} at radius {radius} would examine "
                          f"up to {bound} words, more than {MAX_CROSSCHECK_WORDS}")
+    island = island_sample(j, 2 * radius + 2)
     zset = island_sample(j, 0)
 
     def tree_neighbors(w: Word):
@@ -183,10 +184,6 @@ def removal_cross_check(j: int, radius: int) -> CrossCheckReport:
             for letter in (i, -i):
                 if not w or w[-1] != -letter:
                     yield w + (letter,), i
-
-    def in_island(w: Word) -> bool:
-        hit = classify(w)
-        return hit is not None and hit.j == j
 
     examined = 0
     removed = 0
@@ -213,7 +210,7 @@ def removal_cross_check(j: int, radius: int) -> CrossCheckReport:
                     if nb in seen:
                         continue
                     seen.add(nb)
-                    if not in_island(nb):
+                    if nb not in island:
                         next_frontier.append((nb, depth + 1, gateway_label or label))
         frontier = next_frontier
     return CrossCheckReport(j, radius, examined, removed, tuple(disagreements))

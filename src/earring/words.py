@@ -343,7 +343,8 @@ def format_word(w: Word) -> str:
 #   prefix R[:m];
 # - a witness certificate's `trace` and `conjugate_endpoint`, which are
 #   refused past this many steps, before beta is spelled;
-# - the sample of `checks.removal_cross_check`, in letters.
+# - what `checks.island_sample` spells, in letters: an island's edge-path
+#   and its lines, which `formula_removes` and `removal_cross_check` read.
 # A witness itself takes O(|w|) time and memory at any index.  The witness
 # of a_12 (j = 41,501,135) has vertices of 777,124,938 and 1,554,249,877
 # letters.

@@ -215,6 +215,24 @@ MUTANTS = [
          "    if not is_reduced(v):\n        raise ValueError(\"expected a reduced word\")\n",
          "",
          "tests/test_graph.py::TestCrossCheck::test_unreduced_word_is_refused"),
+    _one("island-sample-bound-ignored", "checks.py",
+         "    if letters > words.MAX_LIFT_LETTERS:\n",
+         "    if False:\n",
+         "tests/test_graph.py::TestCrossCheck::test_far_island_sample_is_refused"),
+    _one("cross-check-island-one-short", "checks.py",
+         "    island = island_sample(j, 2 * radius + 2)\n",
+         "    island = island_sample(j, 2 * radius + 1)\n",
+         "tests/test_graph.py::TestCrossCheck::test_far_island_is_cheap"),
+    # the same reports, with membership asked of the fast path
+    Mutant("cross-check-asks-classify", "checks.py",
+           (("    island = island_sample(j, 2 * radius + 2)\n",
+             "    from .graph import classify\n\n"
+             "    def in_island(w: Word) -> bool:\n"
+             "        hit = classify(w)\n"
+             "        return hit is not None and hit.j == j\n"),
+            ("                    if nb not in island:\n",
+             "                    if not in_island(nb):\n")),
+           ("tests/test_graph.py::TestDefinitionalLayer",)),
     _one("bfs-bound-ignored", "checks.py",
          "    if bound > MAX_CROSSCHECK_WORDS:\n",
          "    if False:\n",

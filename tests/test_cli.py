@@ -137,7 +137,7 @@ class TestCrosscheck:
                              text=True, env=env, timeout=60)
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         assert (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime) < 2
-        message = (f"the cross-check of island {j} at radius 1 would spell up to {letters} "
+        message = (f"the sample of island {j} at extent 3 would spell up to {letters} "
                    "letters, more than 4194304")
         assert out.returncode == 1, out.stderr
         if json_flag:

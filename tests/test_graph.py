@@ -1,6 +1,10 @@
 import functools
 import marshal
+import os
 import re
+import resource
+import subprocess
+import sys
 import time
 from enum import IntEnum
 
@@ -441,6 +445,38 @@ class TestCrossCheck:
         assert time.process_time() - t0 < 4
         assert (report.examined, report.removed, len(report.disagreements)) == (196, 136, 0)
 
+    def test_leaves_the_fast_path_as_it_found_it(self):
+        # membership is read from the island's own spelled words: the
+        # search indexes no word and makes no ray vertex
+        reset_caches()
+        rays = dict(graph._rays)
+        removal_cross_check(9, 2)
+        assert (graph._index, graph._index_bytes, graph._rays) == ({}, 0, rays)
+
+    def test_far_island_sample_is_refused(self):
+        # the edge-path of island 41501135 holds two words past its anchor
+        # of 777,124,938 letters; under a 1 GiB address-space cap, spelling
+        # them would fail with "out of memory" instead of the refusal
+        code = ("import resource; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from earring.checks import formula_removes, island_sample\n"
+                "for call in (lambda: island_sample(41501135, 0), "
+                "lambda: formula_removes((1,), 41501135)):\n"
+                "    try:\n        call()\n"
+                "    except ValueError as exc:\n        print(exc)\n")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        # the child's CPU time, not wall time
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert (out.returncode, out.stderr) == (0, "")
+        message = ("the sample of island 41501135 at extent 0 would spell up to 1554249877 "
+                   "letters, more than 4194304\n")
+        assert out.stdout == message * 2
+        assert (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime) < 1
+
     @pytest.mark.parametrize("v", [(1, 2, 1, 2, 1, 4, -4), (1, 2, 1, 2, 1, -3, 3), (3, -3)])
     def test_unreduced_word_is_refused(self, v):
         # (1, 2, 1, 2, 1, 4, -4) reduces to the anchor of island 1, which
@@ -460,9 +496,9 @@ class TestCrossCheck:
 
 class TestDefinitionalLayer:
     """The definitional checks live in `earring.checks`, apart from the fast
-    path: `graph` defines none of them, the module imports none of
-    `graph`, `lifting` or `corefree` at its top level, and no function of
-    it but `removal_cross_check` reaches a name that comes from them."""
+    path: `graph` defines none of them, no import anywhere in the module
+    binds a name of `graph`, `lifting` or `corefree`, and no function of
+    it reaches such a name."""
 
     MOVED = ["edge_path", "island_sample", "in_line", "_line_offset", "formula_removes",
              "_removes", "CrossCheckReport", "removal_cross_check"]
@@ -489,15 +525,9 @@ class TestDefinitionalLayer:
             elif isinstance(node, ast.Import):
                 fast.update(alias.asname or alias.name.split(".")[0] for alias in node.names
                             if set(alias.name.split(".")) & self.FAST)
-        # the cross-check decides membership by the fast path, so the scan
-        # above sees its import; no import at the top level binds a name
-        # of the fast path
-        assert {"classify"} <= fast
-        top = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
-        assert [alias.name for node in top for alias in node.names
-                if (alias.asname or alias.name) in fast] == []
+        assert fast == set()
         # the module-level definitions, and every name that the functions
-        # other than the cross-check read through them
+        # read through them
         defs = {}
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -506,9 +536,9 @@ class TestDefinitionalLayer:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defs.update((n.id, node) for target in targets for n in ast.walk(target)
                             if isinstance(n, ast.Name))
-        roots = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
-                 and node.name != "removal_cross_check"]
-        assert {"edge_path", "island_sample", "in_line", "formula_removes"} <= set(roots)
+        roots = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        assert {"edge_path", "island_sample", "in_line", "formula_removes",
+                "removal_cross_check"} <= set(roots)
         reached, todo = set(), roots
         while todo:
             name = todo.pop()
@@ -517,7 +547,8 @@ class TestDefinitionalLayer:
                 if name in defs:
                     todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
         assert {"_line_offset", "_removes"} <= reached
-        assert sorted(reached & fast) == []
+        # nor does any function name a fast-path module, however bound
+        assert sorted(reached & self.FAST) == []
 
 
 # --- sampled invariants ----------------------------------------------------
@@ -530,7 +561,7 @@ class TestIslandInvariants:
                 assert owners.setdefault(v, j) == j
 
     def test_membership_of_samples(self):
-        for j in (1, 2, 9, 17, 40):
+        for j in (*range(1, 21), 40):
             for v in island_sample(j, 6):
                 assert island_of(v) == j
 
