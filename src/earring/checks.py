@@ -105,11 +105,19 @@ def formula_removes(v: Word, j: int) -> bool:
     reduction of z . a_s^{+-r} . a_k^{+-1} . g with z on the island's
     edge-path, the vertex one step into the power off the edge-path, and
     either r = 0 with k > n_j, or r != 0 with s <= n_j and k outside
-    {1, 2, s}.  v must be a reduced word."""
+    {1, 2, s}.  v must be a reduced word.
+
+    Only the edge-path words z with |z| <= |v| + |w_j| are spelled: a
+    match reads u = v[:t], |u| <= |v| - 1, and either u = z or u =
+    reduce(z . a_s^r), whose power cancels at most z's final run, which
+    has at most |tail| + 1 <= |w_j| + 1 letters."""
     v = check_word(v)
     if not is_reduced(v):
         raise ValueError("expected a reduced word")
-    return _removes(v, island_sample(j, 0), edge_path(j)[1])
+    path, nj = edge_path(j)
+    reach = len(v) + len(path) - 1  # |v| + |w_j|
+    zset = {zigzag_prefix(p) + tail for p, tail in set(path) if p + len(tail) <= reach}
+    return _removes(v, zset, nj)
 
 
 def _removes(v: Word, zset, nj: int) -> bool:

@@ -15,13 +15,17 @@ Random access is closed-form: `nth_word` unranks j inside its
 (length, max index) class, `index_of` ranks a word, `word_length`,
 `cumulative_length` and `anchor_length` sum over classes,
 `anchor_index` inverts `anchor_length`, and `anchor_window` finds the
-one anchor near a ray position.  No word is stored; the only
-table holds one entry per class, about w^2/2 entries for the words of
-weight up to w, and it stops at weight MAX_WEIGHT = 384: `index_of`
-refuses a word of greater weight, and `nth_word` an index past the words
-of weight 384 (about 1.7 * 10^675 of them), with ValueError.  A sweep
-walks one weight at a time through `words_of_weight`, which spells the
-words of a weight in enumeration order, the twin of `nth_word`.
+one anchor near a ray position.  No word is stored.  One fixed table,
+`_LETTERS`, lists the letters in digit order: `nth_word` spells each
+digit from it, and `index_of` computes each digit by the inverse
+arithmetic.  The class table holds one entry per class, about w^2/2
+entries for the words of weight up to w, and it stops at weight
+MAX_WEIGHT = 384: `index_of` refuses a word of greater weight, and
+`nth_word` an index past the words of weight 384 (about 1.7 * 10^675 of
+them), with ValueError.  A sweep walks one weight at a time through
+`words_of_weight`, which spells the words of a weight in enumeration
+order from a slice of `_LETTERS`, the twin of `nth_word`; it refuses a
+weight past 384 the same way.
 """
 
 from __future__ import annotations
@@ -146,6 +150,11 @@ def _class_of(j: int) -> tuple:
     return _classes[k], j - 1 - _firsts[k]
 
 
+# The letters in digit order, a_1, a_1^{-1}, a_2, a_2^{-1}, ..., a_384^{-1}:
+# the digit d of a class's words is the letter _LETTERS[d].
+_LETTERS = tuple(x for i in range(1, MAX_WEIGHT + 1) for x in (i, -i))
+
+
 # Inside a class, a letter is a digit in base 2m, in the order a_1 <
 # a_1^{-1} < a_2 < ...: a_i is 2i - 2 and a_i^{-1} is 2i - 1, so x > 0 is
 # 2x - 2 and x < 0 is -2x - 1.  The class holds the words of `length`
@@ -176,11 +185,11 @@ def nth_word(j: int) -> Word:
             r += low ** (rest + 1)
             break
         d, r = divmod(r, part)
-        out.append(~(d >> 1) if d & 1 else (d >> 1) + 1)
+        out.append(_LETTERS[d])
     out += [0] * (rest + 1)
     for i in range(length - 1, length - 2 - rest, -1):
         r, d = divmod(r, size)
-        out[i] = ~(d >> 1) if d & 1 else (d >> 1) + 1
+        out[i] = _LETTERS[d]
     return tuple(out)
 
 
@@ -206,6 +215,7 @@ def index_of(w: Word) -> int:
     letters = iter(w)
     horner = p = 0
     for h, x in enumerate(letters):
+        # the digit of x, the inverse of _LETTERS (a dict lookup is slower)
         d = 2 * x - 2 if x > 0 else -2 * x - 1
         horner = horner * size + d
         if d >= low:
@@ -218,13 +228,15 @@ def index_of(w: Word) -> int:
 
 def words_of_weight(wt):
     """The words of weight wt in enumeration order: nth_word(j) for the j
-    of those words, spelled one after another without unranking any."""
+    of those words, spelled one after another without unranking any.
+    Raises ValueError, on its first next, for a weight past MAX_WEIGHT."""
+    if wt > MAX_WEIGHT:
+        raise ValueError(f"the word index stops at weight {MAX_WEIGHT}")
     for length in range(1, wt):
         m = wt - length
-        # a_1 < a_1^{-1} < a_2 < ... < a_m^{-1}; the class is the words
-        # that use a_m or its inverse
-        letters = sum(zip(range(1, m + 1), range(-1, -m - 1, -1)), ())
-        for w in itertools.product(letters, repeat=length):
+        # the digits of the class, a_1 < a_1^{-1} < ... < a_m^{-1}; the
+        # class is the words that use a_m or its inverse
+        for w in itertools.product(_LETTERS[:2 * m], repeat=length):
             if m in w or -m in w:
                 yield w
 
@@ -344,7 +356,8 @@ def format_word(w: Word) -> str:
 # - a witness certificate's `trace` and `conjugate_endpoint`, which are
 #   refused past this many steps, before beta is spelled;
 # - what `checks.island_sample` spells, in letters: an island's edge-path
-#   and its lines, which `formula_removes` and `removal_cross_check` read.
+#   and its lines, which `removal_cross_check` reads; `formula_removes`
+#   spells only the edge-path words of at most |v| + |w_j| letters.
 # A witness itself takes O(|w|) time and memory at any index.  The witness
 # of a_12 (j = 41,501,135) has vertices of 777,124,938 and 1,554,249,877
 # letters.

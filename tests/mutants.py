@@ -174,10 +174,21 @@ MUTANTS = [
          "        raise ValueError(f\"the word has weight {wt}; the word index stops at weight \"\n"
          "                         f\"{MAX_WEIGHT}\")\n",
          "tests/test_words.py::TestWeightBound"),
+    _one("letter-table-signs-swapped", "words.py",
+         "_LETTERS = tuple(x for i in range(1, MAX_WEIGHT + 1) for x in (i, -i))\n",
+         "_LETTERS = tuple(x for i in range(1, MAX_WEIGHT + 1) for x in (-i, i))\n",
+         "tests/test_words.py::TestClosedForm"),
     _one("sweep-alphabet-positives-first", "words.py",
-         "        letters = sum(zip(range(1, m + 1), range(-1, -m - 1, -1)), ())\n",
-         "        letters = tuple(range(1, m + 1)) + tuple(range(-1, -m - 1, -1))\n",
+         "        for w in itertools.product(_LETTERS[:2 * m], repeat=length):\n",
+         "        for w in itertools.product(_LETTERS[:2 * m:2] + _LETTERS[1:2 * m:2], "
+         "repeat=length):\n",
          "tests/test_words.py::TestWordsOfWeight"),
+    _one("sweep-past-the-table", "words.py",
+         "past MAX_WEIGHT.\"\"\"\n"
+         "    if wt > MAX_WEIGHT:\n"
+         "        raise ValueError(f\"the word index stops at weight {MAX_WEIGHT}\")\n",
+         "past MAX_WEIGHT.\"\"\"\n",
+         "tests/test_words.py::TestWeightBound::test_both_ends_of_the_letter_table"),
     _one("sweep-filter-without-inverse", "words.py",
          "            if m in w or -m in w:\n",
          "            if m in w:\n",
@@ -211,6 +222,10 @@ MUTANTS = [
          "    return tuple((z.ray_len, z.tail) for z in data.path), data.level\n"
          "    wj = nth_word(j)\n",
          "tests/test_graph.py::TestDefinitionalLayer"),
+    _one("formula-filter-drops-line-bases", "checks.py",
+         "    reach = len(v) + len(path) - 1  # |v| + |w_j|\n",
+         "    reach = len(v) - 1\n",
+         "tests/test_graph.py::TestCrossCheck::test_formula_spells_enough_of_the_edge_path"),
     _one("formula-accepts-unreduced", "checks.py",
          "    if not is_reduced(v):\n        raise ValueError(\"expected a reduced word\")\n",
          "",

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from earring import caching, graph
 from earring.caching import reset_caches
-from earring.checks import edge_path, formula_removes, in_line, island_sample, removal_cross_check
+from earring.checks import (_removes, edge_path, formula_removes, in_line, island_sample,
+                            removal_cross_check)
 from earring.graph import (
     Vertex,
     base_vertex,
@@ -456,13 +457,14 @@ class TestCrossCheck:
     def test_far_island_sample_is_refused(self):
         # the edge-path of island 41501135 holds two words past its anchor
         # of 777,124,938 letters; under a 1 GiB address-space cap, spelling
-        # them would fail with "out of memory" instead of the refusal
+        # them would fail with "out of memory" instead of the refusal.  A
+        # one-letter word reads none of them, so formula_removes answers
         code = ("import resource; "
                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
                 "from earring.checks import formula_removes, island_sample\n"
                 "for call in (lambda: island_sample(41501135, 0), "
                 "lambda: formula_removes((1,), 41501135)):\n"
-                "    try:\n        call()\n"
+                "    try:\n        print(call())\n"
                 "    except ValueError as exc:\n        print(exc)\n")
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -474,8 +476,34 @@ class TestCrossCheck:
         assert (out.returncode, out.stderr) == (0, "")
         message = ("the sample of island 41501135 at extent 0 would spell up to 1554249877 "
                    "letters, more than 4194304\n")
-        assert out.stdout == message * 2
+        assert out.stdout == message + "False\n"
         assert (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime) < 1
+
+    def test_formula_spells_enough_of_the_edge_path(self):
+        # formula_removes spells only the edge-path words a match of v can
+        # read; every reduced word within 2 steps of the sample at extent
+        # 3 of each j <= 20, over a_1 .. a_{n_j + 2}, gets the answer of
+        # the whole spelled edge-path
+        examined = 0
+        for j in range(1, 21):
+            nj = edge_path(j)[1]
+            zset = island_sample(j, 0)
+            ball = island_sample(j, 3)
+            frontier = list(ball)
+            for _ in range(2):
+                nxt = []
+                for w in frontier:
+                    for i in range(1, nj + 3):
+                        for x in (i, -i):
+                            nb = w[:-1] if w and w[-1] == -x else w + (x,)
+                            if nb not in ball:
+                                ball.add(nb)
+                                nxt.append(nb)
+                frontier = nxt
+            for v in ball:
+                assert formula_removes(v, j) == _removes(v, zset, nj), (v, j)
+            examined += len(ball)
+        assert examined == 26_925
 
     @pytest.mark.parametrize("v", [(1, 2, 1, 2, 1, 4, -4), (1, 2, 1, 2, 1, -3, 3), (3, -3)])
     def test_unreduced_word_is_refused(self, v):

@@ -358,6 +358,20 @@ class TestWeightBound:
                 far()
         assert words._firsts[-1] == last
 
+    def test_both_ends_of_the_letter_table(self):
+        # the heaviest class reads table entries 764 and 765, a_383 and its
+        # inverse; every letter the index takes is the entry at its digit
+        j = index_of((383,))
+        assert nth_word(j) == (383,) and nth_word(j + 1) == (-383,)
+        assert len(words._LETTERS) == 2 * words.MAX_WEIGHT
+        for i in range(1, words.MAX_WEIGHT + 1):
+            for x in (i, -i):
+                assert words._LETTERS[2 * x - 2 if x > 0 else -2 * x - 1] == x
+        assert next(words_of_weight(words.MAX_WEIGHT)) == (383,)
+        with pytest.raises(ValueError, match=f"stops at weight {words.MAX_WEIGHT}"):
+            next(words_of_weight(words.MAX_WEIGHT + 1))
+        reset_caches()  # the table of weight 384 holds about 52 MB
+
 
 class TestClassTableReset:
     def test_reset_caches_drops_the_class_table(self):
